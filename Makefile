@@ -60,7 +60,7 @@ jobs:
 # the last event ID, plus an epsilon-armed job that must stop early with
 # the stop visible on /metrics.
 stream:
-	$(GO) test -race -run 'Stream|EarlyStop|Converge|Estimate|Rule|Tracker|Subscribe' ./internal/converge/ ./internal/sim/ ./internal/jobs/ ./internal/service/ ./internal/client/
+	$(GO) test -race -run 'Stream|EarlyStop|Converge|Estimate|Rule|Subscribe' ./internal/converge/ ./internal/sim/ ./internal/jobs/ ./internal/service/ ./internal/client/
 	$(GO) run -race ./cmd/yapload -stream
 
 # High-availability drill: the replication/election tests under the race
@@ -101,9 +101,9 @@ bench:
 BENCH_jobs.json:
 	$(GO) test -json -run '^$$' -bench 'BenchmarkJobs' -benchmem ./internal/jobs/ > $@
 
-# Machine-readable benchmark record for the convergence layer (tally
-# snapshot -> estimate/CI, stop-rule evaluation, full checkpoint-ladder
-# walk), one JSON event per line. Committed so estimate-path perf
+# Machine-readable benchmark record for the convergence layer (tally ->
+# estimate/CI, stop-rule evaluation, checkpoint-ladder step), one JSON
+# event per line. Committed so estimate-path perf
 # regressions show up in review diffs.
 BENCH_converge.json:
 	$(GO) test -json -run '^$$' -bench '.' -benchmem ./internal/converge/ > $@

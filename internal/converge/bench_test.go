@@ -33,24 +33,6 @@ func BenchmarkRuleNextCheckpoint(b *testing.B) {
 	benchSinkInt = sink
 }
 
-// BenchmarkTrackerStream walks a full 20k-sample checkpoint ladder —
-// the complete per-run cost of convergence tracking at D2W default scale.
-func BenchmarkTrackerStream(b *testing.B) {
-	r := Rule{Epsilon: 1e-9, MinSamples: 100, CheckEvery: 100} // never stops
-	for i := 0; i < b.N; i++ {
-		tr := NewTracker(r)
-		const total = 20000
-		for c := 0; c < total; {
-			c = r.NextCheckpoint(c, total)
-			s, err := tr.Observe(c, total, c-c/50, c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchSinkBool = s.Stop
-		}
-	}
-}
-
 var (
 	benchSinkEstimate Estimate
 	benchSinkBool     bool

@@ -204,24 +204,13 @@ type job struct {
 // opts.Faults is ignored: the coordinator's own hooks come from
 // Config.Faults, and workers arm their plans process-side (YAP_FAULTS).
 // Options that are not representable in the shard wire protocol
-// (CollectPerDie and the ablation switches) are rejected rather than
-// silently dropped.
+// (CollectPerDie, EarlyStop and the ablation switches) are rejected
+// rather than silently dropped.
 func (c *Coordinator) Simulate(ctx context.Context, mode string, opts sim.Options) (sim.Result, service.DistInfo, error) {
-	var total int
-	switch mode {
-	case "w2w":
-		total = opts.Wafers
-		if total <= 0 {
-			total = 1000
-		}
-	case "d2w":
-		total = opts.Dies
-		if total <= 0 {
-			total = 20000
-		}
-	default:
+	if mode != "w2w" && mode != "d2w" {
 		return sim.Result{}, service.DistInfo{}, fmt.Errorf("dist: unknown mode %q (want w2w or d2w)", mode)
 	}
+	total := opts.Samples(mode)
 	if err := unsupportedOptions(opts); err != nil {
 		return sim.Result{}, service.DistInfo{}, err
 	}
@@ -407,6 +396,8 @@ func unsupportedOptions(opts sim.Options) error {
 	switch {
 	case opts.CollectPerDie:
 		return errors.New("dist: CollectPerDie is not supported over the shard protocol; run locally")
+	case opts.EarlyStop.Enabled():
+		return errors.New("dist: EarlyStop is not supported over the shard protocol; run locally")
 	case opts.TwoDRandomMisalignment, opts.IncludeMainVoidW2W, opts.PerWaferSystematics,
 		opts.ExplicitRecessPads, opts.ExplicitOverlayPads, opts.ModelConventionDefects:
 		return errors.New("dist: ablation options are not supported over the shard protocol; run locally")

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"yap/internal/client"
+	"yap/internal/converge"
 	"yap/internal/core"
 	"yap/internal/faultinject"
 	"yap/internal/service"
@@ -339,5 +340,24 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, _, err := c.Simulate(context.Background(), "w2w",
 		sim.Options{Params: core.Baseline(), Wafers: 4, FirstSample: -1}); err == nil {
 		t.Error("negative FirstSample accepted")
+	}
+}
+
+// The shard protocol cannot carry an early-stop rule, so the coordinator
+// must refuse one rather than silently run the whole fixed-N cap.
+func TestCoordinatorRejectsEarlyStop(t *testing.T) {
+	opts := sim.Options{Params: core.Baseline(), Seed: 3, Dies: 4000, EarlyStop: converge.Rule{Epsilon: 0.05}}
+	local, err := sim.RunD2W(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !local.StoppedEarly {
+		t.Fatalf("local run did not stop early, so it cannot tell a dropped rule apart: %+v", local)
+	}
+	c := newCoordinator(t, Config{Workers: []string{newWorker(t).URL}, HeartbeatInterval: -1})
+	res, _, err := c.Simulate(context.Background(), "d2w", opts)
+	if err == nil {
+		t.Fatalf("EarlyStop accepted over the shard protocol: ran %d of %d samples (locally %d)",
+			res.Completed, res.Requested, local.Completed)
 	}
 }

@@ -31,11 +31,7 @@
 // were armed with.
 package dist
 
-import (
-	"fmt"
-	"hash/fnv"
-	"strconv"
-)
+import "fmt"
 
 // Shard is one contiguous slice of a Monte-Carlo run's global sample
 // index space (bonded wafers for W2W, bonded dies for D2W).
@@ -44,15 +40,6 @@ type Shard struct {
 	Index int
 	// Start and Count bound the global sample range [Start, Start+Count).
 	Start, Count int
-	// Stream is the shard's auxiliary RNG stream index, derived from the
-	// shard label with FNV-1a (the internal/faultinject idiom — see
-	// faultinject.Fire's per-hook streams): pass it to randx.Derive with
-	// the run's master seed for shard-scoped auxiliary draws that must
-	// not perturb the sample streams. The sample streams themselves never
-	// use it — sample k draws from Derive(seed, Start+k) regardless of
-	// the plan, which is what makes every plan merge to the single-node
-	// result.
-	Stream uint64
 }
 
 // Plan partitions total samples into at most shards contiguous,
@@ -80,16 +67,8 @@ func Plan(total, shards int) ([]Shard, error) {
 		if i < rem {
 			count++
 		}
-		out[i] = Shard{Index: i, Start: start, Count: count, Stream: shardStream(i)}
+		out[i] = Shard{Index: i, Start: start, Count: count}
 		start += count
 	}
 	return out, nil
-}
-
-// shardStream maps a shard index to its auxiliary stream index (FNV-1a
-// over the shard label, deterministic across processes).
-func shardStream(index int) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte("dist.shard." + strconv.Itoa(index))) //nolint:errcheck // fnv never fails
-	return h.Sum64()
 }

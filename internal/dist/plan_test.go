@@ -65,18 +65,3 @@ func TestPlanErrors(t *testing.T) {
 		t.Error("Plan(10,0) accepted")
 	}
 }
-
-func TestShardStreamsDeterministicAndDistinct(t *testing.T) {
-	a, _ := Plan(100, 4)
-	b, _ := Plan(100, 4)
-	seen := map[uint64]bool{}
-	for i := range a {
-		if a[i].Stream != b[i].Stream {
-			t.Errorf("shard %d stream differs across identical plans", i)
-		}
-		if seen[a[i].Stream] {
-			t.Errorf("shard %d stream collides", i)
-		}
-		seen[a[i].Stream] = true
-	}
-}

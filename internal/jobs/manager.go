@@ -20,20 +20,15 @@ import (
 	"yap/internal/sim"
 )
 
-// RunFunc executes one contiguous slice of a Monte-Carlo run. mode is
-// "w2w" or "d2w"; opts carries the slice's FirstSample/Wafers/Dies. The
-// default runs in-process; yapserve substitutes the dist coordinator when
-// a worker fleet is registered. The contract the manager depends on: for
-// a given (Params, Seed, FirstSample, sample count) the returned raw
-// tallies are bit-identical however the slice is executed.
+// RunFunc executes one contiguous slice of a Monte-Carlo run. A job runs
+// as sim's slice driver, which calls the RunFunc once per checkpoint
+// slice with mode "w2w" or "d2w" and opts carrying the slice's
+// FirstSample and sample count. The default is sim.Run, the in-process
+// engine; yapserve substitutes the dist coordinator when a worker fleet
+// is registered. The contract the manager depends on: for a given
+// (Params, Seed, FirstSample, sample count) the returned raw tallies are
+// bit-identical however the slice is executed.
 type RunFunc func(ctx context.Context, mode string, opts sim.Options) (sim.Result, error)
-
-func defaultRun(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
-	if mode == "d2w" {
-		return sim.RunD2WContext(ctx, opts)
-	}
-	return sim.RunW2WContext(ctx, opts)
-}
 
 // Replicator observes the durable record stream for replication.
 // Implemented by internal/replica.Node; the Manager stays ignorant of
@@ -298,7 +293,7 @@ func Open(cfg Config) (*Manager, error) {
 		jobs:  make(map[string]*jobState),
 	}
 	if m.run == nil {
-		m.run = defaultRun
+		m.run = sim.Run
 	}
 	if m.clock == nil {
 		m.clock = time.Now
@@ -1442,29 +1437,16 @@ func (m *Manager) takeJob() (string, bool) {
 	return id, true
 }
 
-// stopEarlyLocked finishes a job the sequential rule just stopped: the
-// accumulated Result over the durable prefix becomes the final one, with
-// Requested kept at the submitted cap — the skipped samples were saved,
-// not lost, and the StoppedEarly flag records why Completed is short.
-// Callers hold m.mu.
-func (m *Manager) stopEarlyLocked(js *jobState, acc sim.Result, cap int) {
-	final, err := sim.Merge(acc)
-	if err != nil {
-		m.finishLocked(js, StateFailed, fmt.Sprintf("finalizing early stop: %v", err), nil)
-		return
-	}
-	final.Requested = cap
-	final.StoppedEarly = true
-	m.stats.EarlyStops++
-	m.stats.SamplesSaved += uint64(cap - final.Completed)
-	m.finishLocked(js, StateDone, "", &final)
-}
-
-// runJob executes one job from its last durable checkpoint to the end,
-// appending a cumulative checkpoint record after every slice. The slice
-// results are folded through sim.Merge — the same arithmetic as the dist
-// coordinator — so the final Result is bit-identical to an uninterrupted
-// single-process run (Elapsed excepted, as everywhere).
+// runJob executes one job from its last durable checkpoint to the end.
+// A simulate job is sim's slice driver over the fixed CheckpointEvery
+// ladder: HookJobsRun fires before each slice, every merged slice is
+// checkpointed to the WAL and published, and the job's early-stop rule is
+// consulted after each checkpoint and on the durable prefix of a resumed
+// job. The driver folds slices through sim.Merge — the same arithmetic as
+// the dist coordinator — so the final Result is bit-identical to an
+// uninterrupted single-process run (Elapsed excepted, as everywhere), and
+// a resumed job stops at exactly the sample index the uninterrupted one
+// would have.
 func (m *Manager) runJob(ctx context.Context, id string) {
 	// An injected panic at HookJobsRun (or a genuine bug in the slice
 	// path) costs this job a failure, not the whole daemon. Code holding
@@ -1501,14 +1483,9 @@ func (m *Manager) runJob(ctx context.Context, id string) {
 	js.cancel = cancel
 	spec := js.job.Spec
 	completed := js.job.Completed
-	counts := js.job.Counts
+	base := baseResult(spec.Mode, js.job.Counts, completed)
 	sweepDone := append([]SweepOutcome(nil), js.job.Sweep...)
 	m.mu.Unlock()
-
-	if spec.Mode == ModeSweep {
-		m.runSweepJob(jobCtx, js, spec, completed, sweepDone)
-		return
-	}
 
 	// Submit resolves CheckpointEvery into the persisted spec; the fallback
 	// only covers records written before it did so.
@@ -1516,228 +1493,135 @@ func (m *Manager) runJob(ctx context.Context, id string) {
 	if checkpointEvery <= 0 {
 		checkpointEvery = m.cfg.checkpointEvery()
 	}
+	if spec.Mode == ModeSweep {
+		err := m.runSweep(jobCtx, js, spec, checkpointEvery, completed, sweepDone)
+		m.settle(jobCtx, js, nil, err)
+		return
+	}
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = m.cfg.SimWorkers
 	}
-	// The early-stop rule is evaluated at durable checkpoint boundaries,
-	// which are deterministic (multiples of checkpointEvery, capped at
-	// Samples) and carry bit-identical cumulative tallies across
-	// crash/resume — so a resumed job stops at exactly the sample index the
-	// uninterrupted one would have. CheckEvery is the checkpoint cadence
-	// purely for documentation; ShouldStop only reads Epsilon/MinSamples.
-	rule := converge.Rule{
-		Epsilon:    spec.Epsilon,
-		MinSamples: spec.MinSamples,
-		CheckEvery: checkpointEvery,
-	}.Normalized()
-
-	// acc accumulates the merged partial Result; base is the durable
-	// prefix (empty for a fresh job).
-	acc := baseResult(spec.Mode, counts, completed)
-	fail := func(text string) {
-		m.mu.Lock()
-		js.cancel = nil
-		m.finishLocked(js, StateFailed, text, nil)
-		m.mu.Unlock()
-	}
-
-	// A resumed job may already sit at the checkpoint where the rule fires:
-	// a crash can land between appending that checkpoint record and the
-	// terminal record. Re-evaluate the durable prefix before running any
-	// further slice, so the resumed job stops at exactly the sample index —
-	// and with the Result — the uninterrupted one would have.
-	if completed > 0 && completed < spec.Samples && rule.Enabled() &&
-		rule.ShouldStop(completed, converge.EstimateOf(counts.Survived, counts.Dies)) {
-		m.mu.Lock()
-		js.cancel = nil
-		if !js.job.State.Terminal() {
-			m.stopEarlyLocked(js, acc, spec.Samples)
-		}
-		m.mu.Unlock()
-		return
-	}
-
-	// interrupted ends the run when jobCtx fired: a user cancel becomes a
-	// durable canceled state; a manager shutdown leaves the job durably
-	// running so the next Open resumes it from the last checkpoint —
-	// deliberately indistinguishable from a crash. Either way the
-	// in-flight slice is discarded: its partial tallies may cover
-	// NON-contiguous samples (workers stride the index space), so they
-	// can never be checkpointed.
-	interrupted := func() {
-		m.mu.Lock()
-		js.cancel = nil
-		if js.cancelRequested && !js.job.State.Terminal() {
-			m.finishLocked(js, StateCanceled, "", nil)
-		}
-		m.mu.Unlock()
-	}
-
-	for completed < spec.Samples {
-		chunk := spec.Samples - completed
-		if chunk > checkpointEvery {
-			chunk = checkpointEvery
-		}
-		if err := m.cfg.Faults.Fire(jobCtx, faultinject.HookJobsRun); err != nil {
-			if jobCtx.Err() != nil {
-				interrupted()
-				return
+	res, err := sim.SliceDriver{
+		Mode:  spec.Mode,
+		Opts:  sim.Options{Params: spec.Params, Seed: spec.Seed, Workers: workers, Faults: m.cfg.Faults},
+		Total: spec.Samples,
+		Base:  base,
+		Next:  func(done int) int { return min(done+checkpointEvery, spec.Samples) },
+		Run:   m.runSlice,
+		After: func(acc sim.Result) error {
+			c := acc.Counts
+			if err := m.checkpoint(js, walRecord{Type: recCheckpoint, ID: id, Completed: acc.Completed, Counts: &c}); err != nil {
+				return fmt.Errorf("checkpoint at sample %d: %w", acc.Completed, err)
 			}
-			fail(fmt.Sprintf("slice at sample %d: %v", completed, err))
-			return
-		}
-		opts := sim.Options{
-			Params:      spec.Params,
-			Seed:        spec.Seed,
-			Workers:     workers,
-			FirstSample: completed,
-			Faults:      m.cfg.Faults,
-		}
-		if spec.Mode == "d2w" {
-			opts.Dies = chunk
-		} else {
-			opts.Wafers = chunk
-		}
-		res, err := m.run(jobCtx, spec.Mode, opts)
-		if jobCtx.Err() != nil {
-			interrupted()
-			return
-		}
-		if err != nil {
-			fail(fmt.Sprintf("slice at sample %d: %v", completed, err))
-			return
-		}
-		if res.Partial {
-			// No deadline and no cancellation, yet the slice is partial —
-			// a distributed runner degraded. The tallies cannot be trusted
-			// to be contiguous, so fail rather than checkpoint them.
-			fail(fmt.Sprintf("slice at sample %d returned partial tallies (%d/%d)", completed, res.Completed, res.Requested))
-			return
-		}
-		merged, err := sim.Merge(acc, res)
-		if err != nil {
-			fail(fmt.Sprintf("merging slice at sample %d: %v", completed, err))
-			return
-		}
-		acc = merged
-		completed += chunk
-
-		m.mu.Lock()
-		if js.job.State.Terminal() { // raced with a durable cancel
-			js.cancel = nil
-			m.mu.Unlock()
-			return
-		}
-		c := acc.Counts
-		if err := m.appendLocked(walRecord{Type: recCheckpoint, ID: id, Completed: completed, Counts: &c}); err != nil {
-			js.cancel = nil
-			m.finishLocked(js, StateFailed, fmt.Sprintf("checkpoint at sample %d: %v", completed, err), nil)
-			m.mu.Unlock()
-			return
-		}
-		js.job.Completed = completed
-		js.job.Counts = acc.Counts
-		m.publishLocked(js)
-		if completed < spec.Samples && rule.Enabled() &&
-			rule.ShouldStop(completed, converge.EstimateOf(acc.Counts.Survived, acc.Counts.Dies)) {
-			js.cancel = nil
-			m.stopEarlyLocked(js, acc, spec.Samples)
-			m.mu.Unlock()
-			return
-		}
-		m.mu.Unlock()
-	}
-
-	final, err := sim.Merge(acc)
-	if err != nil {
-		fail(fmt.Sprintf("finalizing: %v", err))
-		return
-	}
-	m.mu.Lock()
-	js.cancel = nil
-	if !js.job.State.Terminal() {
-		m.finishLocked(js, StateDone, "", &final)
-	}
-	m.mu.Unlock()
+			return nil
+		},
+		// Checkpoint boundaries are deterministic and carry bit-identical
+		// cumulative tallies across crash/resume, so the rule sees the same
+		// tallies at the same sample counts in every incarnation.
+		Stop: converge.Rule{Epsilon: spec.Epsilon, MinSamples: spec.MinSamples, CheckEvery: checkpointEvery},
+	}.Drive(jobCtx)
+	m.settle(jobCtx, js, &res, err)
 }
 
-// runSweepJob walks the sweep's remaining points through the analytic
-// model in checkpoint-sized slices, appending a cumulative outcome record
-// after each. Evaluation is pure float arithmetic over the persisted
-// resolved params, so a resumed sweep reproduces the identical outcome
-// list — the same bit-identity contract simulate jobs get from their
-// (seed, index) streams. A panicking point is recorded as that point's
-// error and the sweep continues, mirroring /v1/sweep.
-func (m *Manager) runSweepJob(jobCtx context.Context, js *jobState, spec Spec, completed int, done []SweepOutcome) {
-	id := js.job.ID
-	checkpointEvery := spec.CheckpointEvery
-	if checkpointEvery <= 0 {
-		checkpointEvery = m.cfg.checkpointEvery()
+// runSlice executes one job slice through the configured engine, firing
+// HookJobsRun first. A slice interrupted by the job's context is
+// discarded, even if it finished: it is not durable yet, and a partial
+// one may cover NON-contiguous samples (workers stride the index space),
+// so it can never be checkpointed. A partial slice without cancellation —
+// a degraded distributed runner — is an error for the same reason.
+func (m *Manager) runSlice(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
+	if err := m.cfg.Faults.Fire(ctx, faultinject.HookJobsRun); err != nil {
+		return sim.Result{}, fmt.Errorf("slice at sample %d: %w", opts.FirstSample, err)
 	}
-	fail := func(text string) {
-		m.mu.Lock()
-		js.cancel = nil
-		m.finishLocked(js, StateFailed, text, nil)
-		m.mu.Unlock()
+	res, err := m.run(ctx, mode, opts)
+	switch {
+	case ctx.Err() != nil:
+		return sim.Result{}, ctx.Err()
+	case err != nil:
+		return sim.Result{}, fmt.Errorf("slice at sample %d: %w", opts.FirstSample, err)
+	case res.Partial:
+		return sim.Result{}, fmt.Errorf("slice at sample %d returned partial tallies (%d/%d)",
+			opts.FirstSample, res.Completed, res.Requested)
 	}
-	interrupted := func() {
-		m.mu.Lock()
-		js.cancel = nil
-		if js.cancelRequested && !js.job.State.Terminal() {
+	return res, nil
+}
+
+// checkpoint durably appends one cumulative checkpoint record, applies it
+// to the in-memory job exactly as WAL replay would, and publishes the new
+// state. A job that turned terminal meanwhile (a durable cancel won the
+// race) is left alone and reported as ErrTerminal.
+func (m *Manager) checkpoint(js *jobState, rec walRecord) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if js.job.State.Terminal() {
+		return ErrTerminal
+	}
+	if err := m.appendLocked(rec); err != nil {
+		return err
+	}
+	m.apply(rec)
+	m.publishLocked(js)
+	return nil
+}
+
+// settle ends a job's run, releasing the runner's hold on it. A job that
+// is already terminal stays as it is. When the job's context fired, the
+// run was interrupted: a user cancel becomes a durable canceled state,
+// while a manager shutdown leaves the job durably running so the next Open
+// resumes it from the last checkpoint — deliberately indistinguishable
+// from a crash. Any other error fails the job; otherwise it is done with
+// res, which is nil for sweep jobs.
+func (m *Manager) settle(ctx context.Context, js *jobState, res *sim.Result, err error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	js.cancel = nil
+	switch {
+	case js.job.State.Terminal():
+	case err != nil && ctx.Err() != nil:
+		if js.cancelRequested {
 			m.finishLocked(js, StateCanceled, "", nil)
 		}
-		m.mu.Unlock()
+	case err != nil:
+		m.finishLocked(js, StateFailed, err.Error(), nil)
+	default:
+		if res != nil && res.StoppedEarly {
+			// Requested stays at the submitted cap: the skipped samples
+			// were saved, not lost.
+			m.stats.EarlyStops++
+			m.stats.SamplesSaved += uint64(res.Requested - res.Completed)
+		}
+		m.finishLocked(js, StateDone, "", res)
 	}
+}
 
+// runSweep walks the sweep's remaining points through the analytic model
+// in checkpoint-sized slices, appending a cumulative outcome record after
+// each. Evaluation is pure float arithmetic over the persisted resolved
+// params, so a resumed sweep reproduces the identical outcome list — the
+// same bit-identity contract simulate jobs get from their (seed, index)
+// streams. A panicking point is recorded as that point's error and the
+// sweep continues, mirroring /v1/sweep.
+func (m *Manager) runSweep(ctx context.Context, js *jobState, spec Spec, checkpointEvery, completed int, done []SweepOutcome) error {
 	total := len(spec.Points)
 	for completed < total {
-		chunk := total - completed
-		if chunk > checkpointEvery {
-			chunk = checkpointEvery
-		}
-		if err := m.cfg.Faults.Fire(jobCtx, faultinject.HookJobsRun); err != nil {
-			if jobCtx.Err() != nil {
-				interrupted()
-				return
-			}
-			fail(fmt.Sprintf("sweep slice at point %d: %v", completed, err))
-			return
+		chunk := min(total-completed, checkpointEvery)
+		if err := m.cfg.Faults.Fire(ctx, faultinject.HookJobsRun); err != nil {
+			return fmt.Errorf("sweep slice at point %d: %w", completed, err)
 		}
 		for i := completed; i < completed+chunk; i++ {
-			if jobCtx.Err() != nil {
-				interrupted()
-				return
+			if err := ctx.Err(); err != nil {
+				return err
 			}
-			done = append(done, m.evalSweepPoint(jobCtx, i, spec.Points[i], spec.Eval))
+			done = append(done, m.evalSweepPoint(ctx, i, spec.Points[i], spec.Eval))
 		}
 		completed += chunk
-
-		m.mu.Lock()
-		if js.job.State.Terminal() { // raced with a durable cancel
-			js.cancel = nil
-			m.mu.Unlock()
-			return
-		}
 		outcomes := append([]SweepOutcome(nil), done...)
-		if err := m.appendLocked(walRecord{Type: recCheckpoint, ID: id, Completed: completed, Sweep: outcomes}); err != nil {
-			js.cancel = nil
-			m.finishLocked(js, StateFailed, fmt.Sprintf("checkpoint at point %d: %v", completed, err), nil)
-			m.mu.Unlock()
-			return
+		if err := m.checkpoint(js, walRecord{Type: recCheckpoint, ID: js.job.ID, Completed: completed, Sweep: outcomes}); err != nil {
+			return fmt.Errorf("checkpoint at point %d: %w", completed, err)
 		}
-		js.job.Completed = completed
-		js.job.Sweep = outcomes
-		m.publishLocked(js)
-		m.mu.Unlock()
 	}
-
-	m.mu.Lock()
-	js.cancel = nil
-	if !js.job.State.Terminal() {
-		m.finishLocked(js, StateDone, "", nil)
-	}
-	m.mu.Unlock()
+	return nil
 }
 
 // evalSweepPoint evaluates one resolved parameter set through the

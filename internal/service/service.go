@@ -501,68 +501,25 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		EarlyStop: converge.Rule{Epsilon: req.Epsilon, MinSamples: req.MinSamples},
 	}
 
-	// The breaker guards the simulation engine, so it is consulted only
-	// after validation: malformed requests say nothing about its health.
-	if err := s.breaker.Allow(); err != nil {
-		var open *resilience.BreakerOpenError
-		retryAfter := s.cfg.RetryAfter
-		if errors.As(err, &open) && open.RetryAfter > 0 {
-			retryAfter = open.RetryAfter
-		}
-		s.writeOverloaded(w, "simulation circuit breaker open; retry later", retryAfter)
-		return
-	}
-
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	var res sim.Result
 	var info DistInfo
 	// An early-stop run always executes locally: the sequential rule's
 	// checkpoint ladder is what makes the stop index deterministic, and
 	// the shard fan-out has no such ladder. Fixed-N requests still shard.
 	distributed := s.cfg.Distributor != nil && !req.Local && !opts.EarlyStop.Enabled()
-	runErr := s.pool.Run(ctx, func() {
-		switch {
-		case distributed:
+	res, ok := s.runEngine(w, r, mode, func(ctx context.Context) (res sim.Result, err error) {
+		if distributed {
 			res, info, err = s.cfg.Distributor.Simulate(ctx, mode, opts)
-		case mode == "w2w":
-			res, err = sim.RunW2WContext(ctx, opts)
-		default:
-			res, err = sim.RunD2WContext(ctx, opts)
+			return res, err
 		}
+		return sim.Run(ctx, mode, opts)
 	})
-	if runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		// Only internal engine failures count against the breaker;
-		// cancellations, overload sheds and bad parameters are neutral.
-		if isInternalSimError(runErr) {
-			s.breaker.Record(false)
-		}
-		s.writeSimError(w, runErr)
+	if !ok {
 		return
-	}
-	s.breaker.Record(true)
-	if res.Partial {
-		// The server-side deadline fired but wafers completed: degrade
-		// gracefully into a 200 carrying the partial tallies — unless the
-		// CLIENT is gone, in which case nothing useful can be delivered.
-		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, "canceled", "client canceled the request")
-			return
-		}
-		s.metrics.partialResults.Add(1)
 	}
 	if res.StoppedEarly {
 		s.metrics.earlyStops.Add(1)
 		s.metrics.samplesSaved.Add(uint64(res.Requested - res.Completed))
 	}
-	s.metrics.simSamples.get(mode).Add(uint64(res.Counts.Dies))
 	resp := simulateResponseFrom(res, p.HashString(), req.Seed, workers)
 	if distributed {
 		resp.Distributed = true
@@ -606,58 +563,18 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	opts := sim.Options{
 		Params:      p,
 		Seed:        req.Seed,
+		Wafers:      req.Count, // each engine reads only its own count
+		Dies:        req.Count,
 		Workers:     workers,
 		FirstSample: req.Start,
 		Faults:      s.cfg.Faults,
 	}
-	if mode == "w2w" {
-		opts.Wafers = req.Count
-	} else {
-		opts.Dies = req.Count
-	}
-
-	if err := s.breaker.Allow(); err != nil {
-		var open *resilience.BreakerOpenError
-		retryAfter := s.cfg.RetryAfter
-		if errors.As(err, &open) && open.RetryAfter > 0 {
-			retryAfter = open.RetryAfter
-		}
-		s.writeOverloaded(w, "simulation circuit breaker open; retry later", retryAfter)
-		return
-	}
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	var res sim.Result
-	runErr := s.pool.Run(ctx, func() {
-		if mode == "w2w" {
-			res, err = sim.RunW2WContext(ctx, opts)
-		} else {
-			res, err = sim.RunD2WContext(ctx, opts)
-		}
+	res, ok := s.runEngine(w, r, mode, func(ctx context.Context) (sim.Result, error) {
+		return sim.Run(ctx, mode, opts)
 	})
-	if runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		if isInternalSimError(runErr) {
-			s.breaker.Record(false)
-		}
-		s.writeSimError(w, runErr)
+	if !ok {
 		return
 	}
-	s.breaker.Record(true)
-	if res.Partial {
-		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, "canceled", "client canceled the request")
-			return
-		}
-		s.metrics.partialResults.Add(1)
-	}
-	s.metrics.simSamples.get(mode).Add(uint64(res.Counts.Dies))
 	writeJSON(w, http.StatusOK, ShardResponse{
 		ParamsHash: p.HashString(),
 		Mode:       res.Mode,
@@ -669,6 +586,58 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		Requested:  res.Requested,
 		ElapsedMs:  float64(res.Elapsed.Microseconds()) / 1e3,
 	})
+}
+
+// runEngine is the engine call handleSimulate and handleShard share:
+// breaker admission, the server's request timeout, the simulation pool,
+// the breaker verdict, partial-result accounting and the samples metric.
+// On failure it writes the error response and reports false.
+func (s *Server) runEngine(w http.ResponseWriter, r *http.Request, mode string, run func(context.Context) (sim.Result, error)) (sim.Result, bool) {
+	// The breaker guards the simulation engine, so it is consulted only
+	// after validation: malformed requests say nothing about its health.
+	if err := s.breaker.Allow(); err != nil {
+		var open *resilience.BreakerOpenError
+		retryAfter := s.cfg.RetryAfter
+		if errors.As(err, &open) && open.RetryAfter > 0 {
+			retryAfter = open.RetryAfter
+		}
+		s.writeOverloaded(w, "simulation circuit breaker open; retry later", retryAfter)
+		return sim.Result{}, false
+	}
+	ctx := r.Context()
+	if s.cfg.RequestTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+		defer cancel()
+	}
+	var res sim.Result
+	var err error
+	runErr := s.pool.Run(ctx, func() { res, err = run(ctx) })
+	if runErr == nil {
+		runErr = err
+	}
+	if runErr != nil {
+		// Only internal engine failures count against the breaker;
+		// cancellations, overload sheds and bad parameters are neutral.
+		if isInternalSimError(runErr) {
+			s.breaker.Record(false)
+		}
+		s.writeSimError(w, runErr)
+		return sim.Result{}, false
+	}
+	s.breaker.Record(true)
+	if res.Partial {
+		// The server-side deadline fired but samples completed: degrade
+		// gracefully into a 200 carrying the partial tallies — unless the
+		// CLIENT is gone, in which case nothing useful can be delivered.
+		if r.Context().Err() != nil {
+			writeError(w, statusClientClosedRequest, "canceled", "client canceled the request")
+			return sim.Result{}, false
+		}
+		s.metrics.partialResults.Add(1)
+	}
+	s.metrics.simSamples.get(mode).Add(uint64(res.Counts.Dies))
+	return res, true
 }
 
 // isInternalSimError reports whether a simulate failure indicts the

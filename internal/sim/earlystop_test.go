@@ -270,3 +270,40 @@ func TestEarlyStopWithFirstSample(t *testing.T) {
 		t.Errorf("FirstSample prefix tally diverged: got %+v want %+v", res.Counts, prefix.Counts)
 	}
 }
+
+// Early stop composes with CollectPerDie: a W2W run that stops after
+// several slices returns, per-die tallies included, exactly the Result of
+// a fixed-N run over the samples it used. This pins the worker pool's
+// per-die fold and the slice driver's Merge together.
+func TestEarlyStopCollectPerDie(t *testing.T) {
+	const cap = 60
+	rule := converge.Rule{Epsilon: 0.011, MinSamples: 2, CheckEvery: 2}
+	for _, workers := range []int{1, 3} {
+		res, err := RunW2W(Options{
+			Params: core.Baseline(), Seed: 17, Wafers: cap, Workers: workers,
+			CollectPerDie: true, EarlyStop: rule,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !res.StoppedEarly || res.Completed <= rule.MinSamples || res.Completed >= cap {
+			t.Fatalf("workers=%d: want a stop after more than one slice, got completed %d of %d (stopped %v)",
+				workers, res.Completed, res.Requested, res.StoppedEarly)
+		}
+		want, err := RunW2W(Options{
+			Params: core.Baseline(), Seed: 17, Wafers: res.Completed, Workers: workers,
+			CollectPerDie: true,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		want.Requested, want.StoppedEarly = cap, true
+		if len(res.PerDie) == 0 {
+			t.Fatalf("workers=%d: early-stopped run lost its per-die tallies", workers)
+		}
+		if !reflect.DeepEqual(sansElapsed(res), sansElapsed(want)) {
+			t.Errorf("workers=%d: early-stopped result differs from the fixed-N run of %d wafers:\n got %+v\nwant %+v",
+				workers, res.Completed, sansElapsed(res), sansElapsed(want))
+		}
+	}
+}

@@ -22,6 +22,14 @@
 // indicator directly instead of drawing 10⁸ heights. The equivalence is
 // distributional, not approximate, and is verified in tests against the
 // explicit per-pad path (which remains available via ExplicitRecessPads).
+//
+// Every run enters through Run, the mode-keyed entry point. A fixed-N run
+// is one pass of the package's single worker pool, which spreads the
+// samples over Options.Workers goroutines; the W2W and D2W engines differ
+// only in their per-sample function, fault hook, cancellation stride and
+// per-die tallies. A run cut into contiguous sample slices — early stop
+// here, durable jobs in internal/jobs — goes through SliceDriver, which
+// runs each slice and folds it into an accumulator with Merge.
 package sim
 
 import (
@@ -53,15 +61,17 @@ type Options struct {
 	// Workers bounds the parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// EarlyStop optionally arms the deterministic sequential-stopping rule
-	// of internal/converge: the run executes in contiguous sample slices
-	// and ends as soon as the Wilson 95% half-width of the running yield
-	// estimate falls to EarlyStop.Epsilon (never before
-	// EarlyStop.MinSamples, never after Wafers/Dies — the fixed N becomes
-	// a hard cap). Because the rule is evaluated only at sample-count
-	// boundaries that are deterministic functions of the rule and the cap,
-	// the stop index — and therefore the entire Result — is bit-identical
-	// across runs with equal Seed, Params and rule, at any Workers value.
-	// The zero Rule (Epsilon <= 0) preserves fixed-N behavior exactly.
+	// of internal/converge. The run then goes through SliceDriver: slices
+	// end on the rule's checkpoint ladder (rule.NextCheckpoint), each runs
+	// through the worker pool and is merged into the running tally, and
+	// the run ends as soon as the Wilson 95% half-width of that tally
+	// falls to EarlyStop.Epsilon (rule.ShouldStop) — never before
+	// EarlyStop.MinSamples, never after Wafers/Dies, so the fixed N
+	// becomes a hard cap. The ladder depends only on the rule and the cap,
+	// so the stop index — and therefore the entire Result — is
+	// bit-identical across runs with equal Seed, Params and rule, at any
+	// Workers value. The zero Rule (Epsilon <= 0) preserves fixed-N
+	// behavior exactly.
 	EarlyStop converge.Rule
 	// FirstSample is the global index of this run's first sample (bonded
 	// wafer for W2W, bonded die for D2W). Sample k of the run draws from

@@ -13,6 +13,7 @@ import (
 	"yap/internal/core"
 	"yap/internal/dist"
 	"yap/internal/experiments"
+	"yap/internal/layout"
 	"yap/internal/sim"
 	"yap/internal/units"
 	"yap/internal/validate"
@@ -48,11 +49,55 @@ func BenchmarkModelEvalW2W(b *testing.B) {
 // placement-averaging quadrature.
 func BenchmarkModelEvalD2W(b *testing.B) {
 	p := core.Baseline()
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := p.EvaluateD2W(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkModelEvalD2WLayout times the D2W analytic model on the YAP+
+// region path: Table I with the die tiled 4×2 and alternate tiles at twice
+// the pitch (pads sized pitch/3 and pitch/2), so the placement quadrature
+// takes an eight-region product at every node.
+func BenchmarkModelEvalD2WLayout(b *testing.B) {
+	p := core.Baseline()
+	p.PadLayout = checkerLayout(p.DieWidth, p.DieHeight, 2*p.Pitch)
+	if err := p.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.EvaluateD2W(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// checkerLayout tiles a w×h die 4×2; tiles with odd row+column use the
+// coarse pitch, the others inherit the die-level pads.
+func checkerLayout(w, h, coarse float64) *layout.Layout {
+	edge := func(i, n int, size float64) float64 {
+		if i == n {
+			return size / 2
+		}
+		return -size/2 + float64(i)*size/float64(n)
+	}
+	l := &layout.Layout{}
+	for row := 0; row < 2; row++ {
+		for col := 0; col < 4; col++ {
+			reg := layout.Region{
+				X0: edge(col, 4, w), X1: edge(col+1, 4, w),
+				Y0: edge(row, 2, h), Y1: edge(row+1, 2, h),
+			}
+			if (row+col)%2 == 1 {
+				reg.Pitch, reg.TopPadDiameter, reg.BottomPadDiameter = coarse, coarse/3, coarse/2
+			}
+			l.Regions = append(l.Regions, reg)
+		}
+	}
+	return l
 }
 
 // BenchmarkSimWaferW2W times one simulated bonded wafer (denominator of the

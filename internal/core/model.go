@@ -51,11 +51,13 @@ func (p Params) EvaluateW2W() (Breakdown, error) {
 		return Breakdown{}, err
 	}
 	var b Breakdown
+	m := p.OverlayModel()
+	var regions []overlay.PadRegion
 	if p.PadLayout == nil {
+		regions = []overlay.PadRegion{m.UniformRegion(p.DieWidth, p.DieHeight)}
 		b = Breakdown{
-			Overlay: p.OverlayModel().WaferYieldW2W(p.Layout()),
-			Recess:  p.RecessParams().DieYield(p.PadArray().Pads()),
-			Defect:  p.DefectParams().YieldW2W(p.DieWidth, p.DieHeight),
+			Recess: p.RecessParams().DieYield(p.PadArray().Pads()),
+			Defect: p.DefectParams().YieldW2W(p.DieWidth, p.DieHeight),
 		}
 	} else {
 		grids := p.RegionGrids()
@@ -66,12 +68,13 @@ func (p Params) EvaluateW2W() (Breakdown, error) {
 			// of the die outline for the whole-die region.
 			lsum += dp.LambdaW2W(g.Rect.Width(), g.Rect.Height())
 		}
+		regions = overlayRegions(grids)
 		b = Breakdown{
-			Overlay: p.OverlayModel().WaferYieldW2WRegions(p.Layout(), overlayRegions(grids)),
-			Recess:  p.regionRecessYield(grids),
-			Defect:  math.Exp(-lsum),
+			Recess: p.regionRecessYield(grids),
+			Defect: math.Exp(-lsum),
 		}
 	}
+	b.Overlay = m.WaferYieldW2WRegions(p.Layout(), regions)
 	b.Total = b.Overlay * b.Recess * b.Defect
 	return b, nil
 }
@@ -88,10 +91,11 @@ func (p Params) EvaluateD2W() (Breakdown, error) {
 		return Breakdown{}, err
 	}
 	var b Breakdown
+	m := p.OverlayModel()
+	var regions []overlay.PadRegion
 	if p.PadLayout == nil {
+		regions = []overlay.PadRegion{m.UniformRegion(p.DieWidth, p.DieHeight)}
 		b = Breakdown{
-			Overlay: p.OverlayModel().ExpectedDieYieldD2W(
-				p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread()),
 			Recess: p.RecessParams().DieYield(p.PadArray().Pads()),
 			Defect: p.DefectParams().YieldD2W(
 				p.DieWidth, p.DieHeight, p.Pitch, p.TopPadDiameter/2, p.PadArray().Pads()),
@@ -104,13 +108,13 @@ func (p Params) EvaluateD2W() (Breakdown, error) {
 			lsum += dp.LambdaD2W(g.Rect.Width(), g.Rect.Height(),
 				g.Geometry.Pitch, g.Geometry.TopDiameter/2, g.Grid.Pads())
 		}
+		regions = overlayRegions(grids)
 		b = Breakdown{
-			Overlay: p.OverlayModel().ExpectedDieYieldD2WRegions(
-				p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread(), overlayRegions(grids)),
 			Recess: p.regionRecessYield(grids),
 			Defect: math.Exp(-lsum),
 		}
 	}
+	b.Overlay = m.ExpectedDieYieldD2WRegions(p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread(), regions)
 	b.Total = b.Overlay * b.Recess * b.Defect
 	return b, nil
 }

@@ -104,3 +104,54 @@ func TestExpectNormalAdaptiveDegenerate(t *testing.T) {
 		t.Errorf("degenerate adaptive = %g, want 8", got)
 	}
 }
+
+// legacyExpectNormalRec is the slice-and-branch recursion ExpectNormal used
+// before NormalRule: the reference for the bit-identity test below.
+func legacyExpectNormalRec(g func(x []float64) float64, mu, sigma, x []float64, dim int) float64 {
+	if dim == len(mu) {
+		return g(x)
+	}
+	if sigma[dim] == 0 {
+		x[dim] = mu[dim]
+		return legacyExpectNormalRec(g, mu, sigma, x, dim+1)
+	}
+	scale := math.Sqrt2 * sigma[dim]
+	x[dim] = mu[dim]
+	sum := ghWeights7[0] * legacyExpectNormalRec(g, mu, sigma, x, dim+1)
+	for i := 1; i < 4; i++ {
+		d := scale * ghNodes7[i]
+		x[dim] = mu[dim] + d
+		sum += ghWeights7[i] * legacyExpectNormalRec(g, mu, sigma, x, dim+1)
+		x[dim] = mu[dim] - d
+		sum += ghWeights7[i] * legacyExpectNormalRec(g, mu, sigma, x, dim+1)
+	}
+	return sum * invSqrtPi
+}
+
+// TestExpectNormalBitIdenticalToLegacyRecursion pins the NormalRule fold to
+// the recursion it replaced, bit for bit, on a non-polynomial integrand
+// (where a reordered sum would show) and on every pattern of zero spreads.
+// A −0 integrand must come back as −0.
+func TestExpectNormalBitIdenticalToLegacyRecursion(t *testing.T) {
+	g := func(x []float64) float64 {
+		return math.Erf(x[0]*1e8-0.3) * math.Cos(x[1]*7e7) / (1 + x[2]*x[2]*1e14)
+	}
+	mu := []float64{2e-9, -3e-9, 1e-7}
+	for mask := 0; mask < 8; mask++ {
+		sigma := []float64{7e-9, 4e-9, 5e-8}
+		for d := range sigma {
+			if mask&(1<<d) != 0 {
+				sigma[d] = 0
+			}
+		}
+		got := ExpectNormal(g, mu, sigma)
+		want := legacyExpectNormalRec(g, mu, sigma, make([]float64, 3), 0)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("sigma %v: ExpectNormal = %x, legacy recursion = %x", sigma, math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	negZero := func([]float64) float64 { return math.Copysign(0, -1) }
+	if got := ExpectNormal(negZero, []float64{0}, []float64{0}); !math.Signbit(got) {
+		t.Errorf("zero-spread fold of −0 = %v, want −0", got)
+	}
+}

@@ -138,15 +138,45 @@ func (d Distortion) Magnitude(p geom.Vec2) float64 {
 
 // MaxOverRect returns the maximum of s(x, y) over the rectangle. s² is a
 // sum of squares of affine functions of (x, y), hence convex, so the
-// maximum is attained at one of the four corners.
+// maximum is attained at one of the four corners; maxHypot picks it by
+// squared norm.
 func (d Distortion) MaxOverRect(r geom.Rect) float64 {
-	var maxS float64
-	for _, c := range r.Corners() {
-		if s := d.Magnitude(c); s > maxS {
-			maxS = s
+	var dx, dy, n2 [4]float64
+	for k, c := range r.Corners() {
+		v := d.Displacement(c)
+		dx[k], dy[k] = v.X, v.Y
+		n2[k] = v.X*v.X + v.Y*v.Y
+	}
+	return maxHypot(&dx, &dy, &n2, max(n2[0], n2[1], n2[2], n2[3]))
+}
+
+// tieMargin is the relative band below the largest squared corner norm
+// within which maxHypot still calls Hypot. A corner below the band has a
+// norm smaller by ~5e-13 relative — far beyond the few-ulp errors of the
+// squared norm and of Hypot — so its Hypot is strictly smaller.
+const tieMargin = 1e-12
+
+// maxHypot returns the largest of 0 and math.Hypot(dx[k], dy[k]) over the
+// four corners — exactly what four Hypot calls and a running maximum
+// return — given the squared norms n2[k] = dx²+dy² and their (NaN-
+// propagating) maximum n2max, calling Hypot only on corners within
+// tieMargin of n2max. Outside the normal range of squared norms, or with
+// a NaN or infinite one, the relative-error argument does not hold and
+// every corner is tried.
+func maxHypot(dx, dy, n2 *[4]float64, n2max float64) float64 {
+	lim := n2max * (1 - tieMargin)
+	if !(n2max >= 1e-290 && n2max <= 1e290) {
+		lim = 0
+	}
+	var s float64
+	for k := range n2 {
+		if !(n2[k] < lim) {
+			if h := math.Hypot(dx[k], dy[k]); h > s {
+				s = h
+			}
 		}
 	}
-	return maxS
+	return s
 }
 
 // MinOverRect returns the minimum of s(x, y) over the rectangle. The
@@ -297,20 +327,17 @@ func (m Model) Delta() float64 { return m.Pads.MaxMisalignment() }
 
 // WaferYieldW2W returns Y_ovl,W2W (Eq. 8): the average die POS across all M
 // dies of the wafer layout, with each die's pad array evaluated against the
-// wafer-level distortion field.
+// wafer-level distortion field. It is the one-region case of
+// WaferYieldW2WRegions.
 func (m Model) WaferYieldW2W(layout wafer.Layout) float64 {
-	dies := layout.Dies()
-	if len(dies) == 0 {
-		return 0
-	}
-	pads := wafer.PadArrayFor(layout.DieWidth, layout.DieHeight, m.Pads.Pitch)
-	delta := m.Delta()
-	var sum float64
-	for _, die := range dies {
-		rect := pads.PadArrayRectOn(die)
-		sum += DiePOS(m.Dist, rect, delta, m.Sigma1)
-	}
-	return sum / float64(len(dies))
+	return m.WaferYieldW2WRegions(layout, []PadRegion{m.UniformRegion(layout.DieWidth, layout.DieHeight)})
+}
+
+// UniformRegion returns the single pad region of a uniform die: the
+// full-die pad array at the model's pitch with the model's δ. A region
+// path given only this region reproduces the uniform model bit for bit.
+func (m Model) UniformRegion(dieW, dieH float64) PadRegion {
+	return PadRegion{Rect: wafer.PadArrayFor(dieW, dieH, m.Pads.Pitch).Rect, Delta: m.Delta()}
 }
 
 // DieYieldD2W returns Y_ovl,D2W (Eq. 23) for a single chiplet bonded

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"yap/internal/geom"
-	"yap/internal/num"
 	"yap/internal/wafer"
 )
 
@@ -62,30 +61,4 @@ func (m Model) WaferYieldW2WRegions(layout wafer.Layout, regions []PadRegion) fl
 func (m Model) DieYieldD2WRegions(dieW, dieH, refRadius float64, regions []PadRegion) float64 {
 	dist := m.Dist.ScaleToDie(refRadius, wafer.HalfDiagonal(dieW, dieH))
 	return DiePOSRegions(dist, regions, m.Sigma1)
-}
-
-// ExpectedDieYieldD2WRegions is ExpectedDieYieldD2W for a heterogeneous pad
-// layout: the region-product POS averaged over the die-to-die placement
-// variation with the same Gauss–Hermite × adaptive quadrature as the
-// uniform path.
-func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread PlacementSpread, regions []PadRegion) float64 {
-	if spread.Zero() {
-		return m.DieYieldD2WRegions(dieW, dieH, refRadius, regions)
-	}
-	halfDiag := wafer.HalfDiagonal(dieW, dieH)
-	muSmooth := []float64{m.Dist.TX, m.Dist.TY, m.Dist.Rotation}
-	sigmaSmooth := []float64{spread.TXSigma, spread.TYSigma, spread.RotationSigma}
-	pos := func(tx, ty, rot, mag float64) float64 {
-		dist := Distortion{TX: tx, TY: ty, Rotation: rot, Magnification: mag}.
-			ScaleToDie(refRadius, halfDiag)
-		return DiePOSRegions(dist, regions, m.Sigma1)
-	}
-	y := num.ExpectNormalAdaptive(func(mag float64) float64 {
-		return num.ExpectNormal(func(x []float64) float64 {
-			return pos(x[0], x[1], x[2], mag)
-		}, muSmooth, sigmaSmooth)
-	}, m.Dist.Magnification, spread.MagnificationSigma)
-	// Quadrature residue can push a saturated probability past its bounds
-	// by ~1e-10; a yield must stay in [0, 1].
-	return num.Clamp(y, 0, 1)
 }

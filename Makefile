@@ -27,22 +27,27 @@ test-race:
 
 # Chaos drill: the fault-injection and resilience tests under the race
 # detector, with an aggressive YAP_FAULTS plan steering the chaos suite
-# (tests that build their own injectors are unaffected). See
-# internal/faultinject for the spec grammar.
+# (tests that build their own injectors are unaffected), then a load
+# drill against an in-process server armed with the same plan, which must
+# end with every invariant held. See internal/faultinject for the spec
+# grammar.
 CHAOS_FAULTS ?= seed=7,service.cache.get=0.15:error,service.cache.put=0.15:error,service.pool.admit=0.05:error,sim.w2w.wafer=0.03:error,sim.w2w.wafer=0.03:delay:200us,sim.d2w.die=0.02:error,sim.d2w.die=0.01:panic
 chaos:
 	YAP_FAULTS='$(CHAOS_FAULTS)' $(GO) test -race -run 'Chaos|Fault' ./...
+	$(GO) run ./cmd/yapload -n 300 -c 12 -faults '$(CHAOS_FAULTS)'
 
 # Distributed-simulation drill: the shard-plan/merge determinism tests
 # under the race detector, then the true multi-process topology via
 # `yapload -dist` — three worker processes, one SIGKILLed mid-drill,
 # coordinator-side dispatch faults (DIST_FAULTS) and worker-side sim
 # faults (DIST_WORKER_FAULTS, inherited by the re-exec'd workers through
-# the environment) — asserting bit-identical merges throughout.
+# the environment) — asserting bit-identical merges throughout. The tests
+# run under the worker-side plan too: injected failures surface as shard
+# reassignments that must not perturb the merged result by a single bit.
 DIST_FAULTS ?= seed=5,dist.dispatch=0.1:error
 DIST_WORKER_FAULTS ?= seed=11,sim.w2w.wafer=0.02:error,sim.d2w.die=0.01:error
 dist:
-	$(GO) test -race -run 'Merge|Plan|Coordinator|Registry|Shard|FirstSample|Distributor' ./internal/dist/ ./internal/sim/ ./internal/service/
+	YAP_FAULTS='$(DIST_WORKER_FAULTS)' $(GO) test -race -run 'Merge|Plan|Coordinator|Registry|Shard|FirstSample|Distributor' ./internal/dist/ ./internal/sim/ ./internal/service/
 	YAP_FAULTS='$(DIST_WORKER_FAULTS)' $(GO) run -race ./cmd/yapload -dist -dist-workers 3 -dist-faults '$(DIST_FAULTS)'
 
 # Durable-jobs drill: the WAL/manager/service/client jobs tests under
@@ -76,9 +81,11 @@ ha:
 
 # Pad-layout drill: the YAP+ heterogeneous-region tests under the race
 # detector — the layout validation/canonicalization unit tests, the
-# uniform-vs-legacy bit-identity pins (analytic and Monte-Carlo, across
-# shard counts and worker counts), and the end-to-end layout acceptance
-# on the evaluate/simulate/jobs endpoints including crash-resume.
+# bit-identity pins of the one evaluation path, where the uniform die is
+# the one-region layout (the analytic golden tables and the Monte-Carlo
+# golden replays, across shard counts and worker counts), and the
+# end-to-end layout acceptance on the evaluate/simulate/jobs endpoints
+# including crash-resume.
 layout:
 	$(GO) test -race -run 'Layout|Region|Uniform|PadArrayIn|CanonicalHash|ParamsEqual|Golden' ./internal/layout/ ./internal/wafer/ ./internal/overlay/ ./internal/core/ ./internal/sim/ ./internal/dist/ ./internal/service/
 

@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"yap/internal/core"
@@ -69,37 +70,37 @@ func main() {
 		return
 	}
 
-	if err := run(p, *mode, *systemArea*units.SquareMillimeter); err != nil {
+	if err := run(os.Stdout, p, *mode, *systemArea*units.SquareMillimeter); err != nil {
 		fmt.Fprintln(os.Stderr, "yapmodel:", err)
 		os.Exit(1)
 	}
 }
 
-func run(p core.Params, mode string, systemArea float64) error {
-	fmt.Printf("pitch=%s  pads(d1/d2)=%s/%s  die=%s x %s  D_t=%s\n",
+func run(w io.Writer, p core.Params, mode string, systemArea float64) error {
+	fmt.Fprintf(w, "pitch=%s  pads(d1/d2)=%s/%s  die=%s x %s  D_t=%s\n",
 		units.FormatMeters(p.Pitch), units.FormatMeters(p.TopPadDiameter), units.FormatMeters(p.BottomPadDiameter),
 		units.FormatMeters(p.DieWidth), units.FormatMeters(p.DieHeight), units.FormatDensity(p.DefectDensity))
-	fmt.Printf("pads/die=%d  dies/wafer=%d  delta=%s\n",
-		p.PadArray().Pads(), p.Layout().DieCount(), units.FormatMeters(p.PadGeometry().MaxMisalignment()))
+	fmt.Fprintf(w, "pads/die=%d  dies/wafer=%d  delta=%s\n",
+		p.TotalPads(), p.Layout().DieCount(), units.FormatMeters(p.PadGeometry().MaxMisalignment()))
 
 	if mode == "w2w" || mode == "both" {
 		b, err := p.EvaluateW2W()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("W2W model:  %v  (limited by %s)\n", b, b.Limiter())
+		fmt.Fprintf(w, "W2W model:  %v  (limited by %s)\n", b, b.Limiter())
 	}
 	if mode == "d2w" || mode == "both" {
 		b, err := p.EvaluateD2W()
 		if err != nil {
 			return err
 		}
-		fmt.Printf("D2W model:  %v  (limited by %s)\n", b, b.Limiter())
+		fmt.Fprintf(w, "D2W model:  %v  (limited by %s)\n", b, b.Limiter())
 		y, n, err := p.SystemYield(systemArea)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("Y_sys(%s, %d chiplets) = %s\n", units.FormatArea(systemArea), n, units.Percent(y))
+		fmt.Fprintf(w, "Y_sys(%s, %d chiplets) = %s\n", units.FormatArea(systemArea), n, units.Percent(y))
 	}
 	if mode != "w2w" && mode != "d2w" && mode != "both" {
 		return fmt.Errorf("unknown mode %q", mode)

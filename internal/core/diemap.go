@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"yap/internal/overlay"
 	"yap/internal/wafer"
 )
 
@@ -33,40 +32,48 @@ func (d DieYield) Radius() float64 {
 	return math.Hypot(c.X, c.Y)
 }
 
-// W2WDieYields returns the per-die yield map of the W2W model. Averaging
-// the Total column reproduces EvaluateW2W's product up to the correlation
-// between mechanisms across positions (exactly, when defects are uniform).
+// W2WDieYields returns the per-die yield map of the W2W model over the
+// effective pad layout. The Overlay column is the per-die region product
+// that Evaluate("w2w") averages into Eq. 8 (SumDiePOS), so it averages to
+// Evaluate's overlay term; Recess is its recess term. Averaging the Total
+// column reproduces Evaluate's product up to the correlation between
+// mechanisms across positions (exactly, when defects are uniform).
 func (p Params) W2WDieYields() ([]DieYield, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	layout := p.Layout()
-	dies := layout.Dies()
-	pads := p.PadArray()
+	grids := p.RegionGrids()
+	regions := overlayRegions(grids)
 	ov := p.OverlayModel()
-	delta := ov.Pads.MaxMisalignment()
-	recessY := p.RecessParams().DieYield(pads.Pads())
+	recessY := p.regionRecessYield(grids)
 	dp := p.DefectParams()
 
-	// Split Eq. 20 into its position-independent pieces so the local
-	// density can scale the anchor term per die. The tail term mixes
-	// contributions from particles at all radii; it is kept at its
-	// wafer-average (the die-resolved tail would need the full 2-D
-	// integral the simulator effectively performs).
-	anchorArea := p.DieWidth * p.DieHeight
-	z := p.DefectShape
-	tailTerm := 8 * dp.Density * (z - 1) / (3 * math.Pi * (2*z - 3)) *
-		(p.DieWidth + p.DieHeight) * dp.TailKnee() * dp.ClusteringTailFactor()
+	// Eq. 20 per region, split so the local density can scale each
+	// region's point term per die. The tail term mixes contributions from
+	// particles at all radii; it is kept at its wafer average (the
+	// die-resolved tail would need the full 2-D integral the simulator
+	// effectively performs).
+	type span struct{ w, h, tail float64 }
+	spans := make([]span, len(grids))
+	for i, g := range grids {
+		w, h := g.Rect.Width(), g.Rect.Height()
+		spans[i] = span{w, h, dp.LambdaW2WTail(w, h)}
+	}
 
+	dies := p.Layout().Dies()
+	overlayPOS := make([]float64, len(dies))
+	ov.SumDiePOS(dies, regions, overlayPOS)
 	out := make([]DieYield, len(dies))
 	for i, d := range dies {
-		rect := pads.PadArrayRectOn(d)
-		c := d.Rect.Center()
+		c := d.Center()
 		localDensity := dp.DensityAt(math.Hypot(c.X, c.Y))
-		lambda := localDensity*anchorArea + tailTerm
+		var lambda float64
+		for _, s := range spans {
+			lambda += localDensity*s.w*s.h + s.tail
+		}
 		dy := DieYield{
 			Die:     d,
-			Overlay: overlay.DiePOS(ov.Dist, rect, delta, ov.Sigma1),
+			Overlay: overlayPOS[i],
 			Recess:  recessY,
 			Defect:  math.Exp(-lambda),
 		}

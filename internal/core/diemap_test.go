@@ -8,40 +8,49 @@ import (
 )
 
 func TestW2WDieYieldsConsistentWithWaferAverage(t *testing.T) {
-	p := Baseline()
-	dies, err := p.W2WDieYields()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dies) != p.Layout().DieCount() {
-		t.Fatalf("dies = %d, want %d", len(dies), p.Layout().DieCount())
-	}
-	var sumOverlay, sumTotal float64
-	for _, d := range dies {
-		for name, v := range map[string]float64{
-			"overlay": d.Overlay, "recess": d.Recess, "defect": d.Defect, "total": d.Total,
-		} {
-			if v < 0 || v > 1 || math.IsNaN(v) {
-				t.Fatalf("%s yield %g outside [0,1]", name, v)
+	// A fine-pitch die with a coarse io column, at a σ₁ that makes the
+	// overlay term informative: the die map must follow the layout.
+	fine := Baseline().WithPitch(1 * units.Micrometer)
+	fine.RandomMisalignmentSigma = 20 * units.Nanometer
+	fine.PadLayout = goldenTwoPitch().PadLayout
+	for name, p := range map[string]Params{"baseline": Baseline(), "fine two-pitch": fine} {
+		dies, err := p.W2WDieYields()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dies) != p.Layout().DieCount() {
+			t.Fatalf("%s: dies = %d, want %d", name, len(dies), p.Layout().DieCount())
+		}
+		model, err := p.EvaluateW2W()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sumOverlay, sumTotal float64
+		for _, d := range dies {
+			for mech, v := range map[string]float64{
+				"overlay": d.Overlay, "recess": d.Recess, "defect": d.Defect, "total": d.Total,
+			} {
+				if v < 0 || v > 1 || math.IsNaN(v) {
+					t.Fatalf("%s: %s yield %g outside [0,1]", name, mech, v)
+				}
 			}
+			if math.Abs(d.Total-d.Overlay*d.Recess*d.Defect) > 1e-12 {
+				t.Fatalf("%s: total is not the product", name)
+			}
+			if d.Recess != model.Recess {
+				t.Fatalf("%s: per-die recess %g vs model %g", name, d.Recess, model.Recess)
+			}
+			sumOverlay += d.Overlay
+			sumTotal += d.Total
 		}
-		if math.Abs(d.Total-d.Overlay*d.Recess*d.Defect) > 1e-12 {
-			t.Fatal("total is not the product")
+		// Eq. 8: the wafer overlay yield is exactly the per-die average.
+		if got := sumOverlay / float64(len(dies)); math.Abs(got-model.Overlay) > 1e-9 {
+			t.Errorf("%s: mean per-die overlay %g vs Eq. 8 %g", name, got, model.Overlay)
 		}
-		sumOverlay += d.Overlay
-		sumTotal += d.Total
-	}
-	model, err := p.EvaluateW2W()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Eq. 8: the wafer overlay yield is exactly the per-die average.
-	if got := sumOverlay / float64(len(dies)); math.Abs(got-model.Overlay) > 1e-9 {
-		t.Errorf("mean per-die overlay %g vs Eq. 8 %g", got, model.Overlay)
-	}
-	// With uniform defects, the per-die totals average to the wafer total.
-	if got := sumTotal / float64(len(dies)); math.Abs(got-model.Total) > 1e-6 {
-		t.Errorf("mean per-die total %g vs model %g", got, model.Total)
+		// With uniform defects, the per-die totals average to the wafer total.
+		if got := sumTotal / float64(len(dies)); math.Abs(got-model.Total) > 1e-6 {
+			t.Errorf("%s: mean per-die total %g vs model %g", name, got, model.Total)
+		}
 	}
 }
 

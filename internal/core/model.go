@@ -40,84 +40,53 @@ func (b Breakdown) Limiter() string {
 	}
 }
 
-// EvaluateW2W evaluates the full W2W bonding-yield model (Eq. 22):
-// Y_W2W = Y_ovl,W2W · Y_cr,W2W · Y_df,W2W. With a PadLayout set, every
-// mechanism generalizes per region (YAP+): the overlay term products
-// per-region pad survival under the shared distortion field, the recess
-// term products per-region die yields at each region's Cu density, and the
-// defect term sums per-region kill rates Λ before the Poisson exponent.
-func (p Params) EvaluateW2W() (Breakdown, error) {
+// Evaluate evaluates the full bonding-yield model of one bonding style:
+// mode "w2w" is Eq. 22, Y_W2W = Y_ovl,W2W · Y_cr,W2W · Y_df,W2W, and mode
+// "d2w" is Eq. 28, its D2W counterpart. It is the analytic counterpart of
+// sim.Run. Every mechanism is computed over the effective pad layout
+// (YAP+), the uniform die being its one-region case: the recess term is
+// the product of per-region die yields at each region's Cu density, the
+// defect term sums per-region kill rates Λ (the W2W tail model, or the D2W
+// main-void model at each region's pitch, pad size and pad count) before
+// the Poisson exponent, and the overlay term is the region product of pad
+// survival averaged over the wafer's dies (W2W) or over the die-to-die
+// placement variation (D2W, with the rotation/magnification reference
+// radius at the wafer radius where Table I characterizes them). An unknown
+// mode is an error.
+func (p Params) Evaluate(mode string) (Breakdown, error) {
+	if mode != "w2w" && mode != "d2w" {
+		return Breakdown{}, fmt.Errorf("core: unknown mode %q (want w2w or d2w)", mode)
+	}
 	if err := p.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	var b Breakdown
-	m := p.OverlayModel()
-	var regions []overlay.PadRegion
-	if p.PadLayout == nil {
-		regions = []overlay.PadRegion{m.UniformRegion(p.DieWidth, p.DieHeight)}
-		b = Breakdown{
-			Recess: p.RecessParams().DieYield(p.PadArray().Pads()),
-			Defect: p.DefectParams().YieldW2W(p.DieWidth, p.DieHeight),
-		}
-	} else {
-		grids := p.RegionGrids()
-		dp := p.DefectParams()
-		var lsum float64
-		for _, g := range grids {
-			// Per-region critical outline, mirroring the legacy term's use
-			// of the die outline for the whole-die region.
-			lsum += dp.LambdaW2W(g.Rect.Width(), g.Rect.Height())
-		}
-		regions = overlayRegions(grids)
-		b = Breakdown{
-			Recess: p.regionRecessYield(grids),
-			Defect: math.Exp(-lsum),
+	grids := p.RegionGrids()
+	dp := p.DefectParams()
+	var lsum float64
+	for _, g := range grids {
+		w, h := g.Rect.Width(), g.Rect.Height()
+		if mode == "w2w" {
+			lsum += dp.LambdaW2W(w, h)
+		} else {
+			lsum += dp.LambdaD2W(w, h, g.Geometry.Pitch, g.Geometry.TopDiameter/2, g.Grid.Pads())
 		}
 	}
-	b.Overlay = m.WaferYieldW2WRegions(p.Layout(), regions)
+	b := Breakdown{Recess: p.regionRecessYield(grids), Defect: math.Exp(-lsum)}
+	m, regions := p.OverlayModel(), overlayRegions(grids)
+	if mode == "w2w" {
+		b.Overlay = m.WaferYieldW2WRegions(p.Layout(), regions)
+	} else {
+		b.Overlay = m.ExpectedDieYieldD2WRegions(p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread(), regions)
+	}
 	b.Total = b.Overlay * b.Recess * b.Defect
 	return b, nil
 }
 
-// EvaluateD2W evaluates the full D2W bonding-yield model (Eq. 28):
-// Y_D2W = Y_ovl,D2W · Y_cr,D2W · Y_df,D2W. The overlay term averages the
-// die placement variation; the rotation/magnification reference radius is
-// the wafer radius at which Table I characterizes them. With a PadLayout
-// set the mechanisms generalize per region as in EvaluateW2W, the D2W
-// defect term summing each region's main-void kill rate at its own pitch,
-// pad size and pad count.
-func (p Params) EvaluateD2W() (Breakdown, error) {
-	if err := p.Validate(); err != nil {
-		return Breakdown{}, err
-	}
-	var b Breakdown
-	m := p.OverlayModel()
-	var regions []overlay.PadRegion
-	if p.PadLayout == nil {
-		regions = []overlay.PadRegion{m.UniformRegion(p.DieWidth, p.DieHeight)}
-		b = Breakdown{
-			Recess: p.RecessParams().DieYield(p.PadArray().Pads()),
-			Defect: p.DefectParams().YieldD2W(
-				p.DieWidth, p.DieHeight, p.Pitch, p.TopPadDiameter/2, p.PadArray().Pads()),
-		}
-	} else {
-		grids := p.RegionGrids()
-		dp := p.DefectParams()
-		var lsum float64
-		for _, g := range grids {
-			lsum += dp.LambdaD2W(g.Rect.Width(), g.Rect.Height(),
-				g.Geometry.Pitch, g.Geometry.TopDiameter/2, g.Grid.Pads())
-		}
-		regions = overlayRegions(grids)
-		b = Breakdown{
-			Recess: p.regionRecessYield(grids),
-			Defect: math.Exp(-lsum),
-		}
-	}
-	b.Overlay = m.ExpectedDieYieldD2WRegions(p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread(), regions)
-	b.Total = b.Overlay * b.Recess * b.Defect
-	return b, nil
-}
+// EvaluateW2W is Evaluate("w2w"): the W2W bonding yield (Eq. 22).
+func (p Params) EvaluateW2W() (Breakdown, error) { return p.Evaluate("w2w") }
+
+// EvaluateD2W is Evaluate("d2w"): the D2W bonding yield (Eq. 28).
+func (p Params) EvaluateD2W() (Breakdown, error) { return p.Evaluate("d2w") }
 
 // overlayRegions converts resolved region grids into the overlay model's
 // view: each region's pad-array rectangle plus its geometry's δ bound.
@@ -131,7 +100,7 @@ func overlayRegions(grids []layout.RegionGrid) []overlay.PadRegion {
 
 // regionRecessYield returns Y_cr for a resolved layout: the product of
 // per-region all-pads-pass probabilities, each at the region's Cu pattern
-// density (identical to the uniform term for a single full-die region).
+// density.
 func (p Params) regionRecessYield(grids []layout.RegionGrid) float64 {
 	y := 1.0
 	for _, g := range grids {

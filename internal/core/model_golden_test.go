@@ -8,10 +8,10 @@ import (
 )
 
 // The bit patterns below were captured from the pre-layout analytic model.
-// The layout-aware evaluators dispatch on PadLayout == nil, so these pin
-// both that the legacy path is untouched and (together with
-// TestAnalyticUniformLayoutBitIdentical) that the region path degenerates
-// to it for a single full-die region.
+// A nil PadLayout now evaluates as the one-region uniform layout, so these
+// pin (together with TestAnalyticUniformLayoutBitIdentical and
+// TestEvaluateSeededGolden) that the region path reproduces the paper's
+// uniform-grid model bit for bit.
 
 func checkBits(t *testing.T, name string, got float64, want uint64) {
 	t.Helper()

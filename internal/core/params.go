@@ -110,9 +110,9 @@ type Params struct {
 	// PadLayout optionally partitions the die into heterogeneous pad
 	// regions (YAP+; internal/layout), each with its own pitch and pad
 	// geometry — region fields left zero inherit the die-level values
-	// above. nil — the default — keeps the paper's single uniform grid,
-	// and is equivalent to layout.Uniform over the die (pinned
-	// bit-identical by property tests). Serialized as "layout" on the
+	// above. nil — the default — is the paper's single uniform grid: the
+	// one-region layout.Uniform over the die (EffectiveLayout) that every
+	// evaluation resolves it to. Serialized as "layout" on the
 	// wire; omitted when nil so legacy parameter JSON round-trips
 	// byte-stable. (The field is not named Layout because the wafer
 	// floorplan accessor below already claims that name.)
@@ -343,13 +343,10 @@ func (p Params) RegionGrids() []layout.RegionGrid {
 	return p.EffectiveLayout().Grids(p.PadGeometry())
 }
 
-// TotalPads returns the pad count of the effective layout — PadArray's
-// count for the legacy uniform grid, the per-region sum otherwise.
+// TotalPads returns the pad count of the effective layout: the per-region
+// sum, which for the uniform die is PadArray's count.
 func (p Params) TotalPads() int {
-	if p.PadLayout == nil {
-		return p.PadArray().Pads()
-	}
-	return p.PadLayout.TotalPads(p.PadGeometry())
+	return p.EffectiveLayout().TotalPads(p.PadGeometry())
 }
 
 // RegionRecessParams returns the Cu-recess submodel inputs for one region's

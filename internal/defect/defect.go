@@ -193,10 +193,16 @@ func (p Params) MeanTailLength() float64 {
 // unchanged (the profile is normalized) while the tail term grows by
 // ClusteringTailFactor — edge particles sweep longer tails.
 func (p Params) LambdaW2W(dieW, dieH float64) float64 {
+	return p.Density*dieW*dieH + p.LambdaW2WTail(dieW, dieH)
+}
+
+// LambdaW2WTail returns the tail term of Eq. 20 alone (see LambdaW2W). It
+// mixes particles from all radii, so under radial clustering it stays a
+// wafer average even where the point term follows the local density.
+func (p Params) LambdaW2WTail(dieW, dieH float64) float64 {
 	z := p.Shape
-	tail := 8 * p.Density * (z - 1) / (3 * math.Pi * (2*z - 3)) *
+	return 8 * p.Density * (z - 1) / (3 * math.Pi * (2*z - 3)) *
 		(dieW + dieH) * p.TailKnee() * p.ClusteringTailFactor()
-	return p.Density*dieW*dieH + tail
 }
 
 // LambdaW2WNumeric evaluates Eq. 20 by direct quadrature of

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"yap/internal/core"
 )
@@ -37,10 +38,8 @@ func (m Mode) String() string {
 
 // Evaluate returns the bonding yield of p under the mode.
 func (m Mode) Evaluate(p core.Params) (core.Breakdown, error) {
-	if m == D2W {
-		return p.EvaluateD2W()
-	}
-	return p.EvaluateW2W()
+	// The lower-cased name is core's mode key.
+	return p.Evaluate(strings.ToLower(m.String()))
 }
 
 // ErrInfeasible is returned when no value in the searched range meets the

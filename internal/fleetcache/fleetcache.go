@@ -296,13 +296,7 @@ func (c *Cache) fill(ctx context.Context, mode string, hash uint64, p core.Param
 	if err := c.cfg.Faults.Fire(ctx, faultinject.HookFleetFlight); err != nil {
 		return core.Breakdown{}, OutcomeComputed, err
 	}
-	var b core.Breakdown
-	var err error
-	if mode == ModeW2W {
-		b, err = p.EvaluateW2W()
-	} else {
-		b, err = p.EvaluateD2W()
-	}
+	b, err := p.Evaluate(mode)
 	if err != nil {
 		return core.Breakdown{}, OutcomeComputed, err
 	}

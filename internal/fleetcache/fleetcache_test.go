@@ -125,6 +125,28 @@ func TestEvaluateUnknownMode(t *testing.T) {
 	}
 }
 
+// TestEvaluateBogusModeStoresNothing: an unknown mode is an error at the
+// entry point and, should it reach the miss path, at the engine too —
+// never a breakdown of some other mode cached under the unknown key.
+func TestEvaluateBogusModeStoresNothing(t *testing.T) {
+	c := New(Config{})
+	defer c.Close()
+	p := core.Baseline()
+	h := p.CanonicalHash()
+	if _, _, err := c.Evaluate(context.Background(), "bogus", h, p); err == nil {
+		t.Fatal("Evaluate accepted mode bogus")
+	}
+	if _, _, err := c.fill(context.Background(), "bogus", h, p); err == nil {
+		t.Fatal("fill computed a breakdown for mode bogus")
+	}
+	if _, ok := c.Lookup("bogus", h); ok {
+		t.Error("a breakdown is cached under mode bogus")
+	}
+	if st := c.Stats(); st.Computes != 0 || st.Entries != 0 {
+		t.Errorf("stats after bogus mode = %+v, want no computes or entries", st)
+	}
+}
+
 func TestFlightCoalescesThunderingHerd(t *testing.T) {
 	// A long injected delay at the flight hook holds the leader's
 	// computation open while the herd piles in; exactly one engine

@@ -1638,10 +1638,7 @@ func (m *Manager) evalSweepPoint(ctx context.Context, index int, p core.Params, 
 	evaluate := m.cfg.Evaluate
 	if evaluate == nil {
 		evaluate = func(_ context.Context, mode string, p core.Params) (core.Breakdown, error) {
-			if mode == "d2w" {
-				return p.EvaluateD2W()
-			}
-			return p.EvaluateW2W()
+			return p.Evaluate(mode)
 		}
 	}
 	if eval == "w2w" || eval == "both" {

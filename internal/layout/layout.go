@@ -13,10 +13,10 @@
 // against die-level defaults, and the canonical serialized form that feeds
 // core.Params.CanonicalHash.
 //
-// Uniform constructs the single full-die region equivalent to the legacy
-// uniform grid; it is the identity of the extension and is pinned
-// bit-identical to the legacy path by property tests in internal/sim and
-// internal/core.
+// Uniform constructs the single full-die region of the paper's uniform
+// grid; it is the identity of the extension, the layout a die without one
+// evaluates as, and golden tests in internal/sim and internal/core pin it
+// to the uniform-grid model bit for bit.
 package layout
 
 import (

@@ -29,18 +29,16 @@ func (s PlacementSpread) Zero() bool {
 	return s.TXSigma == 0 && s.TYSigma == 0 && s.RotationSigma == 0 && s.MagnificationSigma == 0
 }
 
-// ExpectedDieYieldD2W returns Y_ovl,D2W averaged over the die-to-die
-// placement variation for a uniform die: the one-region case of
-// ExpectedDieYieldD2WRegions.
-func (m Model) ExpectedDieYieldD2W(dieW, dieH, refRadius float64, spread PlacementSpread) float64 {
-	return m.ExpectedDieYieldD2WRegions(dieW, dieH, refRadius, spread, []PadRegion{m.UniformRegion(dieW, dieH)})
-}
-
-// ExpectedDieYieldD2WRegions returns Y_ovl,D2W averaged over the die-to-die
-// placement variation: E[∏ POS_region] with (T_x, T_y, α, E) drawn
-// independently normal around the model's Distortion with the given
-// spreads, each draw rescaled to the die (ScaleToDie) and evaluated through
-// Eq. 23 region by region (DiePOSRegions).
+// ExpectedDieYieldD2WRegions returns Y_ovl,D2W (Eq. 23) averaged over the
+// die-to-die placement variation: E[∏ POS_region] with (T_x, T_y, α, E)
+// drawn independently normal around the model's Distortion with the given
+// spreads, each draw rescaled to the die (ScaleToDie) and evaluated region
+// by region in die-local coordinates (SumDiePOS of one die centered at the
+// origin). The die aligns on its own markers, so the wafer-level rotation
+// and magnification are rescaled by the refRadius-to-half-diagonal ratio;
+// refRadius is the radius at which they were characterized (the wafer
+// radius for Table I numbers). A uniform die is the one region
+// UniformRegion; a zero spread is the deterministic die POS.
 //
 // T_x, T_y and α are smooth at the σ₁ scale and use the tensor 7-point
 // Gauss–Hermite rule, folded exactly as num.ExpectNormal folds it; E, whose
@@ -54,11 +52,13 @@ func (m Model) ExpectedDieYieldD2W(dieW, dieH, refRadius float64, spread Placeme
 // norm so one Hypot serves it (maxHypot); and a region whose corners all
 // lie inside its saturation radius (saturatedNorm2) contributes exactly 1
 // with no Hypot or erf at all. Every displacement, sum and product is the
-// one the plain ScaleToDie → DiePOSRegions evaluation at that node makes,
+// one the plain ScaleToDie → SumDiePOS evaluation at that node makes,
 // so the result is bit-identical to it.
 func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread PlacementSpread, regions []PadRegion) float64 {
 	if spread.Zero() {
-		return m.DieYieldD2WRegions(dieW, dieH, refRadius, regions)
+		local := m
+		local.Dist = m.Dist.ScaleToDie(refRadius, wafer.HalfDiagonal(dieW, dieH))
+		return local.SumDiePOS([]wafer.Die{{}}, regions, nil)
 	}
 	// ScaleToDie leaves rotation and magnification unscaled for a
 	// degenerate die, and x·1 == x.
@@ -108,7 +108,7 @@ func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread 
 		}
 	}
 	// rotFold is the α fold for one (T_x, T_y) pair, given the pair's
-	// blocks and squared corner norms: the region product of DiePOSRegions
+	// blocks and squared corner norms: the region product of SumDiePOS
 	// at each rotation node. allSaturated is its value when every POS is
 	// exactly 1 (W·1 == W).
 	rotFold := func(xb, yb, n2 []float64) float64 {

@@ -135,10 +135,10 @@ func checkOracle(t *testing.T, name string, p core.Params, spread overlay.Placem
 			name, regions, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 	if regions == 1 {
-		uni := m.ExpectedDieYieldD2W(w, h, refR, spread)
+		uni := m.ExpectedDieYieldD2WRegions(w, h, refR, spread, []overlay.PadRegion{m.UniformRegion(w, h)})
 		ref := refExpectedDieYieldD2W(m, w, h, refR, spread)
 		if math.Float64bits(uni) != math.Float64bits(ref) || uni != got {
-			t.Errorf("%s uniform: ExpectedDieYieldD2W %v, reference %v, one-region kernel %v", name, uni, ref, got)
+			t.Errorf("%s uniform: UniformRegion kernel %v, reference %v, one-region kernel %v", name, uni, ref, got)
 		}
 		if spread == p.PlacementSpread() {
 			if b, err := p.EvaluateD2W(); err != nil || math.Float64bits(b.Overlay) != math.Float64bits(ref) {

@@ -264,15 +264,6 @@ func PadPOS(s, delta, sigma1 float64) float64 {
 	return num.NormalInterval(-delta-s, delta-s, 0, sigma1)
 }
 
-// DiePOS returns the possibility of survival of a die with pad-array
-// rectangle rect under distortion dist (Eq. 7): the random error is shared
-// within the die, so the die survives as its worst pad does, and the worst
-// pad is the one with the largest systematic error — attained at a corner
-// of the (convex) pad-array region.
-func DiePOS(dist Distortion, rect geom.Rect, delta, sigma1 float64) float64 {
-	return PadPOS(dist.MaxOverRect(rect), delta, sigma1)
-}
-
 // PadPOS2D returns the pad possibility of survival under the 2-D random
 // misalignment convention: u⃗ = (u₁, u₂) with independent N(0, σ₁²)
 // components added to the systematic displacement of magnitude s, so the
@@ -290,9 +281,9 @@ func PadPOS2D(s, delta, sigma1 float64) float64 {
 	return num.RiceCDF(delta, s, sigma1)
 }
 
-// DiePOS2D is DiePOS under the 2-D random misalignment convention: the
-// worst pad (corner of the convex pad-array region) evaluated through the
-// Rice CDF.
+// DiePOS2D is Eq. 7's die POS under the 2-D random misalignment
+// convention: the worst pad (corner of the convex pad-array region)
+// evaluated through the Rice CDF.
 func DiePOS2D(dist Distortion, rect geom.Rect, delta, sigma1 float64) float64 {
 	return PadPOS2D(dist.MaxOverRect(rect), delta, sigma1)
 }
@@ -325,31 +316,8 @@ type Model struct {
 // Delta returns the survivable-misalignment bound δ for the model's pads.
 func (m Model) Delta() float64 { return m.Pads.MaxMisalignment() }
 
-// WaferYieldW2W returns Y_ovl,W2W (Eq. 8): the average die POS across all M
-// dies of the wafer layout, with each die's pad array evaluated against the
-// wafer-level distortion field. It is the one-region case of
-// WaferYieldW2WRegions.
-func (m Model) WaferYieldW2W(layout wafer.Layout) float64 {
-	return m.WaferYieldW2WRegions(layout, []PadRegion{m.UniformRegion(layout.DieWidth, layout.DieHeight)})
-}
-
 // UniformRegion returns the single pad region of a uniform die: the
-// full-die pad array at the model's pitch with the model's δ. A region
-// path given only this region reproduces the uniform model bit for bit.
+// full-die pad array at the model's pitch with the model's δ.
 func (m Model) UniformRegion(dieW, dieH float64) PadRegion {
 	return PadRegion{Rect: wafer.PadArrayFor(dieW, dieH, m.Pads.Pitch).Rect, Delta: m.Delta()}
-}
-
-// DieYieldD2W returns Y_ovl,D2W (Eq. 23) for a single chiplet bonded
-// die-to-wafer. The die aligns on its own markers, so the wafer-level
-// rotation and magnification are rescaled by the reference-radius to
-// half-diagonal ratio, and the distortion field is evaluated in die-local
-// coordinates centered on the die.
-//
-// refRadius is the radius at which the distortion's rotation/magnification
-// were characterized (the wafer radius for Table I numbers).
-func (m Model) DieYieldD2W(dieW, dieH, refRadius float64) float64 {
-	pads := wafer.PadArrayFor(dieW, dieH, m.Pads.Pitch)
-	dist := m.Dist.ScaleToDie(refRadius, wafer.HalfDiagonal(dieW, dieH))
-	return DiePOS(dist, pads.Rect, m.Delta(), m.Sigma1)
 }

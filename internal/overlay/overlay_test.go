@@ -9,6 +9,18 @@ import (
 	"yap/internal/wafer"
 )
 
+// uniformW2W is Y_ovl,W2W (Eq. 8) of a uniform die: the one-region wafer
+// average.
+func uniformW2W(m Model, l wafer.Layout) float64 {
+	return m.WaferYieldW2WRegions(l, []PadRegion{m.UniformRegion(l.DieWidth, l.DieHeight)})
+}
+
+// uniformD2W is Y_ovl,D2W (Eq. 23) of a uniform die averaged over the
+// placement spread.
+func uniformD2W(m Model, dieW, dieH, refR float64, spread PlacementSpread) float64 {
+	return m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, spread, []PadRegion{m.UniformRegion(dieW, dieH)})
+}
+
 // basePads is the Table I pad stack: 6 µm pitch, 2/3 µm pads, k = 0.75.
 func basePads() PadGeometry {
 	return PadGeometry{
@@ -272,7 +284,7 @@ func TestWaferYieldW2WBaselineNearUnity(t *testing.T) {
 		Sigma1: 5 * units.Nanometer,
 	}
 	layout := wafer.Layout{WaferRadius: 0.15, DieWidth: 0.01, DieHeight: 0.01}
-	y := m.WaferYieldW2W(layout)
+	y := uniformW2W(m, layout)
 	if y < 0.999 || y > 1 {
 		t.Errorf("baseline W2W overlay yield = %g, want ≈ 1", y)
 	}
@@ -284,14 +296,14 @@ func TestWaferYieldW2WDegradesWithDistortion(t *testing.T) {
 	// Crank magnification until edge dies fail: yield must fall below 1
 	// but stay above 0 (center dies survive).
 	m.Dist.Magnification = 8e-6 // 8 ppm ⇒ 1.2 µm at the wafer edge > δ
-	y := m.WaferYieldW2W(layout)
+	y := uniformW2W(m, layout)
 	if y <= 0 || y >= 0.99 {
 		t.Errorf("distorted W2W overlay yield = %g, want interior loss", y)
 	}
 	// Monotone: more magnification, less yield.
 	m2 := m
 	m2.Dist.Magnification = 12e-6
-	if m2.WaferYieldW2W(layout) > y {
+	if uniformW2W(m2, layout) > y {
 		t.Error("yield increased with magnification")
 	}
 }
@@ -299,7 +311,7 @@ func TestWaferYieldW2WDegradesWithDistortion(t *testing.T) {
 func TestWaferYieldEmptyLayout(t *testing.T) {
 	m := Model{Pads: basePads(), Sigma1: 5 * units.Nanometer}
 	layout := wafer.Layout{WaferRadius: 0.004, DieWidth: 0.01, DieHeight: 0.01}
-	if y := m.WaferYieldW2W(layout); y != 0 {
+	if y := uniformW2W(m, layout); y != 0 {
 		t.Errorf("yield on empty layout = %g, want 0", y)
 	}
 }
@@ -314,7 +326,7 @@ func TestDieYieldD2WCenterDieEquivalence(t *testing.T) {
 		Sigma1: 5 * units.Nanometer,
 	}
 	refR := wafer.HalfDiagonal(10e-3, 10e-3)
-	got := m.DieYieldD2W(10e-3, 10e-3, refR)
+	got := uniformD2W(m, 10e-3, 10e-3, refR, PlacementSpread{})
 	want := PadPOS(10*units.Nanometer, m.Pads.MaxMisalignment(), m.Sigma1)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("D2W translation-only yield = %g, want %g", got, want)
@@ -330,8 +342,8 @@ func TestDieYieldD2WSmallerDieNotBetter(t *testing.T) {
 		Dist:   Distortion{Rotation: 0.1e-6, Magnification: 0.9e-6},
 		Sigma1: 5 * units.Nanometer,
 	}
-	yLarge := m.DieYieldD2W(10e-3, 10e-3, 0.15)
-	ySmall := m.DieYieldD2W(3.16e-3, 3.16e-3, 0.15)
+	yLarge := uniformD2W(m, 10e-3, 10e-3, 0.15, PlacementSpread{})
+	ySmall := uniformD2W(m, 3.16e-3, 3.16e-3, 0.15, PlacementSpread{})
 	if math.Abs(yLarge-ySmall) > 1e-3 {
 		t.Errorf("D2W overlay yield should be ~size-invariant: %g vs %g", yLarge, ySmall)
 	}
@@ -385,7 +397,7 @@ func TestDiePOSExactUpperBoundedByEq7(t *testing.T) {
 	rect := geom.Rect{X0: -5e-3, Y0: -5e-3, X1: 5e-3, Y1: 5e-3}
 	delta := 165 * units.Nanometer
 	sigma := 5 * units.Nanometer
-	eq7 := DiePOS(dist, rect, delta, sigma)
+	eq7 := PadPOS(dist.MaxOverRect(rect), delta, sigma)
 	exact := DiePOSExact(dist, rect, delta, sigma)
 	if eq7 < exact-1e-15 {
 		t.Errorf("Eq. 7 (%g) must upper-bound exact (%g)", eq7, exact)
@@ -403,7 +415,7 @@ func TestDiePOSExactDivergesWhenSigmaComparableToDelta(t *testing.T) {
 	rect := geom.Rect{X0: -1e-3, Y0: -1e-3, X1: 1e-3, Y1: 1e-3}
 	delta := 120 * units.Nanometer
 	sigma := 100 * units.Nanometer
-	eq7 := DiePOS(dist, rect, delta, sigma)
+	eq7 := PadPOS(dist.MaxOverRect(rect), delta, sigma)
 	exact := DiePOSExact(dist, rect, delta, sigma)
 	if eq7-exact < 1e-4 {
 		t.Errorf("expected a visible gap in the σ₁≈δ regime: eq7=%g exact=%g", eq7, exact)
@@ -422,8 +434,10 @@ func TestExpectedDieYieldD2WZeroSpreadMatchesDeterministic(t *testing.T) {
 		Dist:   Distortion{TX: 5e-9, Rotation: 0.1e-6, Magnification: 0.9e-6},
 		Sigma1: 5 * units.Nanometer,
 	}
-	got := m.ExpectedDieYieldD2W(10e-3, 10e-3, 0.15, PlacementSpread{})
-	want := m.DieYieldD2W(10e-3, 10e-3, 0.15)
+	got := uniformD2W(m, 10e-3, 10e-3, 0.15, PlacementSpread{})
+	// Eq. 23 for one die: the die-scaled distortion's worst pad-array corner.
+	dist := m.Dist.ScaleToDie(0.15, wafer.HalfDiagonal(10e-3, 10e-3))
+	want := PadPOS(dist.MaxOverRect(wafer.PadArrayFor(10e-3, 10e-3, m.Pads.Pitch).Rect), m.Delta(), m.Sigma1)
 	if got != want {
 		t.Errorf("zero spread expected yield = %g, want deterministic %g", got, want)
 	}
@@ -440,13 +454,13 @@ func TestExpectedDieYieldD2WBounds(t *testing.T) {
 		RotationSigma:      0.05e-6,
 		MagnificationSigma: 0.27e-6,
 	}
-	y := m.ExpectedDieYieldD2W(10e-3, 10e-3, 0.15, spread)
+	y := uniformD2W(m, 10e-3, 10e-3, 0.15, spread)
 	if y < 0 || y > 1 {
 		t.Errorf("expected yield %g outside [0,1]", y)
 	}
 	// Averaging over placement spread cannot beat the best-case
 	// deterministic yield at zero systematic error.
-	best := Model{Pads: m.Pads, Sigma1: m.Sigma1}.DieYieldD2W(10e-3, 10e-3, 0.15)
+	best := uniformD2W(Model{Pads: m.Pads, Sigma1: m.Sigma1}, 10e-3, 10e-3, 0.15, PlacementSpread{})
 	if y > best+1e-12 {
 		t.Errorf("expected yield %g exceeds zero-error yield %g", y, best)
 	}
@@ -472,7 +486,7 @@ func TestExpectedDieYieldD2WMatchesMonteCarlo(t *testing.T) {
 		RotationSigma:      0.05e-6,
 		MagnificationSigma: 0.27e-6,
 	}
-	got := m.ExpectedDieYieldD2W(10e-3, 10e-3, 0.15, spread)
+	got := uniformD2W(m, 10e-3, 10e-3, 0.15, spread)
 
 	// Monte-Carlo reference with deterministic subrandom draws (Halton-ish
 	// stratified normal quantiles would be overkill; plain LCG suffices at
@@ -502,7 +516,7 @@ func TestExpectedDieYieldD2WMatchesMonteCarlo(t *testing.T) {
 			Rotation:      m.Dist.Rotation + spread.RotationSigma*gauss(),
 			Magnification: m.Dist.Magnification + spread.MagnificationSigma*gauss(),
 		}.ScaleToDie(0.15, halfDiag)
-		sum += DiePOS(dist, padsArr.Rect, delta, m.Sigma1)
+		sum += PadPOS(dist.MaxOverRect(padsArr.Rect), delta, m.Sigma1)
 	}
 	mc := sum / nMC
 	if math.Abs(got-mc) > 0.01 {

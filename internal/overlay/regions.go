@@ -17,48 +17,36 @@ type PadRegion struct {
 	Delta float64
 }
 
-// DiePOSRegions returns the possibility of survival of a die whose pads
-// form heterogeneous regions under a shared distortion field (the YAP+
-// generalization of Eq. 7): each region survives as its worst pad does
-// (corner of the convex region rectangle), and the die POS is the product
-// of per-region pad survival. Rects are evaluated against dist directly,
-// so callers translate die-local rects into the distortion frame first
-// when needed. For a single region the product reduces bit-identically to
-// DiePOS (1·x == x).
-func DiePOSRegions(dist Distortion, regions []PadRegion, sigma1 float64) float64 {
-	pos := 1.0
-	for _, r := range regions {
-		pos *= PadPOS(dist.MaxOverRect(r.Rect), r.Delta, sigma1)
+// SumDiePOS returns the sum over the dies of each die's possibility of
+// survival under the distortion field: Eq. 7 with YAP+'s per-region
+// generalization. The random error is shared within a die, so each region
+// survives as its worst pad does, at a corner of the convex region
+// rectangle translated to the die's center, and the die POS is the product
+// of per-region pad survival. When pos is non-nil, die i's POS is also
+// stored in pos[i]. The model's Pads field is not consulted: each region
+// carries its own δ.
+func (m Model) SumDiePOS(dies []wafer.Die, regions []PadRegion, pos []float64) float64 {
+	var sum float64
+	for i, die := range dies {
+		c := die.Center()
+		diePOS := 1.0
+		for _, r := range regions {
+			diePOS *= PadPOS(m.Dist.MaxOverRect(r.Rect.Translate(c)), r.Delta, m.Sigma1)
+		}
+		if pos != nil {
+			pos[i] = diePOS
+		}
+		sum += diePOS
 	}
-	return pos
+	return sum
 }
 
-// WaferYieldW2WRegions is WaferYieldW2W for a heterogeneous pad layout:
-// the average over all dies of the per-die region-product POS, with each
-// region's die-local rectangle translated to the die's wafer position. The
-// model's Pads field is not consulted — each region carries its own δ.
+// WaferYieldW2WRegions returns Y_ovl,W2W (Eq. 8): the die POS averaged over
+// all dies of the wafer layout.
 func (m Model) WaferYieldW2WRegions(layout wafer.Layout, regions []PadRegion) float64 {
 	dies := layout.Dies()
 	if len(dies) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, die := range dies {
-		c := die.Center()
-		pos := 1.0
-		for _, r := range regions {
-			pos *= PadPOS(m.Dist.MaxOverRect(r.Rect.Translate(c)), r.Delta, m.Sigma1)
-		}
-		sum += pos
-	}
-	return sum / float64(len(dies))
-}
-
-// DieYieldD2WRegions is DieYieldD2W for a heterogeneous pad layout: the
-// wafer-level rotation and magnification are rescaled to the die's
-// half-diagonal and the region-product POS is evaluated in die-local
-// coordinates.
-func (m Model) DieYieldD2WRegions(dieW, dieH, refRadius float64, regions []PadRegion) float64 {
-	dist := m.Dist.ScaleToDie(refRadius, wafer.HalfDiagonal(dieW, dieH))
-	return DiePOSRegions(dist, regions, m.Sigma1)
+	return m.SumDiePOS(dies, regions, nil) / float64(len(dies))
 }

@@ -24,16 +24,22 @@ func stressedModel() Model {
 }
 
 // TestW2WRegionsSingleRegionBitIdentical pins the YAP+ identity for W2W:
-// one region carrying the legacy pad-array rectangle and δ must reproduce
-// WaferYieldW2W bit for bit (the region product starts at 1.0 and
-// 1.0·x == x exactly; the translated rect additions match PadArrayRectOn
-// term by term).
+// one region carrying the pad-array rectangle and δ must reproduce the
+// uniform-die Eq. 8 — the worst corner of each die's PadArrayRectOn,
+// averaged over the dies — bit for bit (the region product starts at 1.0
+// and 1.0·x == x exactly; the translated rect additions match
+// PadArrayRectOn term by term).
 func TestW2WRegionsSingleRegionBitIdentical(t *testing.T) {
 	m := stressedModel()
 	lay := wafer.Layout{WaferRadius: 0.15, DieWidth: 0.01, DieHeight: 0.01}
 	pads := wafer.PadArrayFor(lay.DieWidth, lay.DieHeight, m.Pads.Pitch)
 	regions := []PadRegion{{Rect: pads.Rect, Delta: m.Delta()}}
-	legacy := m.WaferYieldW2W(lay)
+	var sum float64
+	dies := lay.Dies()
+	for _, d := range dies {
+		sum += PadPOS(m.Dist.MaxOverRect(pads.PadArrayRectOn(d)), m.Delta(), m.Sigma1)
+	}
+	legacy := sum / float64(len(dies))
 	region := m.WaferYieldW2WRegions(lay, regions)
 	if legacy != region {
 		t.Errorf("single-region W2W = %x, legacy = %x; must be bit-identical",
@@ -44,33 +50,24 @@ func TestW2WRegionsSingleRegionBitIdentical(t *testing.T) {
 	}
 }
 
-// TestD2WRegionsSingleRegionBitIdentical pins the same identity for the
-// D2W paths, deterministic and placement-averaged.
+// TestD2WRegionsSingleRegionBitIdentical pins the same identity for D2W:
+// UniformRegion is the pad-array rectangle and δ, and at zero spread the
+// region path is the uniform die's Eq. 23 bit for bit. (The placement
+// average over one region is pinned against the pre-kernel uniform
+// quadrature by the oracle tests.)
 func TestD2WRegionsSingleRegionBitIdentical(t *testing.T) {
 	m := stressedModel()
 	const dieW, dieH = 0.01, 0.01
 	const refR = 0.15
 	pads := wafer.PadArrayFor(dieW, dieH, m.Pads.Pitch)
 	regions := []PadRegion{{Rect: pads.Rect, Delta: m.Delta()}}
-
-	if legacy, region := m.DieYieldD2W(dieW, dieH, refR),
-		m.DieYieldD2WRegions(dieW, dieH, refR, regions); legacy != region {
+	if uni := m.UniformRegion(dieW, dieH); uni != regions[0] {
+		t.Errorf("UniformRegion = %+v, want %+v", uni, regions[0])
+	}
+	dist := m.Dist.ScaleToDie(refR, wafer.HalfDiagonal(dieW, dieH))
+	legacy := PadPOS(dist.MaxOverRect(pads.Rect), m.Delta(), m.Sigma1)
+	if region := m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, PlacementSpread{}, regions); legacy != region {
 		t.Errorf("single-region D2W = %x, legacy = %x", math.Float64bits(region), math.Float64bits(legacy))
-	}
-
-	spread := PlacementSpread{
-		TXSigma: 10 * units.Nanometer, TYSigma: 10 * units.Nanometer,
-		RotationSigma:      0.05 * units.Microradian,
-		MagnificationSigma: 0.27 * units.PPM,
-	}
-	legacy := m.ExpectedDieYieldD2W(dieW, dieH, refR, spread)
-	region := m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, spread, regions)
-	if legacy != region {
-		t.Errorf("single-region expected D2W = %x, legacy = %x",
-			math.Float64bits(region), math.Float64bits(legacy))
-	}
-	if zero := m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, PlacementSpread{}, regions); zero != m.DieYieldD2WRegions(dieW, dieH, refR, regions) {
-		t.Error("zero spread does not reduce to the deterministic region path")
 	}
 }
 
@@ -79,12 +76,12 @@ func TestD2WRegionsSingleRegionBitIdentical(t *testing.T) {
 // region alone.
 func TestDiePOSRegionsProduct(t *testing.T) {
 	m := stressedModel()
-	dist := m.Dist
 	a := PadRegion{Rect: geom.Rect{X0: -0.004, Y0: -0.004, X1: 0, Y1: 0.004}, Delta: 50 * units.Nanometer}
 	b := PadRegion{Rect: geom.Rect{X0: 0, Y0: -0.004, X1: 0.004, Y1: 0.004}, Delta: 200 * units.Nanometer}
-	pa := DiePOSRegions(dist, []PadRegion{a}, m.Sigma1)
-	pb := DiePOSRegions(dist, []PadRegion{b}, m.Sigma1)
-	pab := DiePOSRegions(dist, []PadRegion{a, b}, m.Sigma1)
+	origin := []wafer.Die{{}}
+	pa := m.SumDiePOS(origin, []PadRegion{a}, nil)
+	pb := m.SumDiePOS(origin, []PadRegion{b}, nil)
+	pab := m.SumDiePOS(origin, []PadRegion{a, b}, nil)
 	if got, want := pab, pa*pb; got != want {
 		t.Errorf("two-region POS = %g, want product %g", got, want)
 	}

@@ -139,19 +139,19 @@ type Result struct {
 // real pads, so repair trades connectivity for yield rather than assuming
 // free silicon.
 func EvaluateW2W(p core.Params, s Scheme) (Result, error) {
-	return evaluate(p, s, func() (core.Breakdown, error) { return p.EvaluateW2W() })
+	return evaluate(p, s, "w2w")
 }
 
 // EvaluateD2W is EvaluateW2W for die-to-wafer bonding.
 func EvaluateD2W(p core.Params, s Scheme) (Result, error) {
-	return evaluate(p, s, func() (core.Breakdown, error) { return p.EvaluateD2W() })
+	return evaluate(p, s, "d2w")
 }
 
-func evaluate(p core.Params, s Scheme, eval func() (core.Breakdown, error)) (Result, error) {
+func evaluate(p core.Params, s Scheme, mode string) (Result, error) {
 	if err := s.Validate(); err != nil {
 		return Result{}, err
 	}
-	base, err := eval()
+	base, err := p.Evaluate(mode)
 	if err != nil {
 		return Result{}, err
 	}

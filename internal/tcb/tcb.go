@@ -147,10 +147,12 @@ func (p Params) Delta() float64 { return p.padGeometry().MaxMisalignment() }
 
 // OverlayYield returns the die possibility of survival against placement
 // error, reusing the D2W overlay machinery (TCB places one die at a time,
-// aligning on its own fiducials).
+// aligning on its own fiducials): the deterministic, zero-spread case of
+// the uniform die.
 func (p Params) OverlayYield() float64 {
 	m := overlay.Model{Pads: p.padGeometry(), Dist: p.Dist, Sigma1: p.Sigma1}
-	return m.DieYieldD2W(p.DieWidth, p.DieHeight, p.RefRadius)
+	return m.ExpectedDieYieldD2WRegions(p.DieWidth, p.DieHeight, p.RefRadius,
+		overlay.PlacementSpread{}, []overlay.PadRegion{m.UniformRegion(p.DieWidth, p.DieHeight)})
 }
 
 // JointHeightPOS returns the probability one joint's height deviation is

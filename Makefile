@@ -38,10 +38,11 @@ chaos:
 
 # Distributed-simulation drill: the shard-plan/merge determinism tests
 # under the race detector, then the true multi-process topology via
-# `yapload -dist` — three worker processes, one SIGKILLed mid-drill,
-# coordinator-side dispatch faults (DIST_FAULTS) and worker-side sim
-# faults (DIST_WORKER_FAULTS, inherited by the re-exec'd workers through
-# the environment) — asserting bit-identical merges throughout. The tests
+# `yapload -dist` — three `yapserve -worker` processes (each a `yapload
+# serve` child running yapserve's own wiring, internal/daemon.Run), one
+# SIGKILLed mid-drill, coordinator-side dispatch faults (DIST_FAULTS) and
+# worker-side sim faults (DIST_WORKER_FAULTS, inherited by the workers
+# through the environment) — asserting bit-identical merges throughout. The tests
 # run under the worker-side plan too: injected failures surface as shard
 # reassignments that must not perturb the merged result by a single bit.
 DIST_FAULTS ?= seed=5,dist.dispatch=0.1:error
@@ -52,7 +53,8 @@ dist:
 
 # Durable-jobs drill: the WAL/manager/service/client jobs tests under
 # the race detector, then the true crash-recovery exercise via
-# `yapload -jobs` — a re-exec'd daemon SIGKILLed after its job has
+# `yapload -jobs` — a `yapload serve -jobs-dir` daemon (yapserve's own
+# wiring) SIGKILLed after its job has
 # durably checkpointed, restarted over the same store, and required to
 # finish with a result bit-identical to an uninterrupted run.
 jobs:
@@ -61,7 +63,8 @@ jobs:
 
 # Streaming drill: the convergence/early-stop/SSE tests under the race
 # detector, then the live watch exercise via `yapload -stream` — a paced
-# job watched over SSE, the connection dropped mid-run and resumed from
+# job on a `yapload serve -jobs-dir` daemon (yapserve's own wiring)
+# watched over SSE, the connection dropped mid-run and resumed from
 # the last event ID, plus an epsilon-armed job that must stop early with
 # the stop visible on /metrics.
 stream:
@@ -70,7 +73,8 @@ stream:
 
 # High-availability drill: the replication/election tests under the race
 # detector, then the true failover exercise via `yapload -ha` — a
-# three-member cluster of re-exec'd daemons with replica-ship faults
+# three-member cluster of `yapload serve -peers` daemons (yapserve's own
+# wiring, so the members share a fleet cache) with replica-ship faults
 # armed, the leader SIGKILLed mid-job, a follower required to win the
 # election, resume the job from its replicated WAL and finish with a
 # result bit-identical to an uninterrupted run, and a quorumless cluster
@@ -91,8 +95,8 @@ layout:
 
 # Fleet-cache drill: the singleflight/rendezvous/peer-fetch/batch tests
 # under the race detector, then the true multi-process dedup exercise via
-# `yapload -cache` — a three-member fleet of re-exec'd daemons with
-# peer-exchange delay faults armed, the same point set swept through
+# `yapload -cache` — a three-member fleet of `yapload serve -cache-peers`
+# daemons (yapserve's own wiring) with peer-exchange delay faults armed, the same point set swept through
 # /v1/evaluate/batch on every member, one member SIGKILLed mid-drill, and
 # the fleet-wide engine-computation total (summed /metrics counters)
 # required to stay ≈ the number of DISTINCT points, not members × points.

@@ -1,9 +1,10 @@
 package main
 
 // The fleet-cache drill (-cache): a fleet-wide deduplication exercise
-// over real processes. The binary re-execs itself as a three-member
-// yapserve fleet wired through -cache-peers (internal/fleetcache over
-// real HTTP), sweeps the same P distinct parameter points across every
+// over real processes. It starts a three-member yapserve fleet wired
+// through -advertise and -cache-peers (internal/fleetcache over real
+// HTTP), each member a `yapload serve` child running
+// internal/daemon.Run, sweeps the same P distinct parameter points across every
 // member for several rounds of /v1/evaluate/batch, SIGKILLs one member
 // mid-drill, and asserts the subsystem's headline invariants:
 //
@@ -24,16 +25,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"net"
-	"net/http"
-	"os"
-	"regexp"
-	"strconv"
 	"strings"
 	"time"
 
@@ -45,51 +39,10 @@ import (
 )
 
 var (
-	cacheMode    = flag.Bool("cache", false, "run the fleet-cache deduplication drill instead of the load mix")
-	cachePoints  = flag.Int("cache-points", 24, "distinct parameter points for the -cache drill")
-	cacheRounds  = flag.Int("cache-rounds", 3, "batch rounds per member for the -cache drill")
-	cacheServerX = flag.Bool("cache-server-exec", false, "internal: run as a -cache drill fleet member subprocess")
-	cacheAddr    = flag.String("cache-exec-addr", "", "internal: pre-reserved listen address for the -cache member")
-	cacheSelf    = flag.String("cache-exec-self", "", "internal: this member's advertised URL")
-	cacheFleet   = flag.String("cache-exec-peers", "", "internal: comma-separated peer URLs")
+	cacheMode   = flag.Bool("cache", false, "run the fleet-cache deduplication drill instead of the load mix")
+	cachePoints = flag.Int("cache-points", 24, "distinct parameter points for the -cache drill")
+	cacheRounds = flag.Int("cache-rounds", 3, "batch rounds per member for the -cache drill")
 )
-
-// runCacheServer is the subprocess side: one fleet member on a
-// pre-reserved loopback port, exactly as cmd/yapserve -cache-peers wires
-// it. It never closes the cache — the parent SIGKILLs members to model
-// crashes.
-func runCacheServer(logger *log.Logger) {
-	if *cacheAddr == "" || *cacheSelf == "" || *cacheFleet == "" {
-		logger.Fatal("-cache-server-exec requires -cache-exec-addr, -cache-exec-self and -cache-exec-peers")
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("cache member: invalid %s: %v", faultinject.EnvVar, err)
-	}
-	members := append(strings.Split(*cacheFleet, ","), *cacheSelf)
-	fleet := fleetcache.New(fleetcache.Config{
-		Self:      *cacheSelf,
-		Members:   members,
-		Transport: &client.CacheTransport{},
-		Faults:    inj,
-	})
-	ln, err := net.Listen("tcp", *cacheAddr)
-	if err != nil {
-		logger.Fatalf("cache member: listen %s: %v", *cacheAddr, err)
-	}
-	srv := service.New(service.Config{
-		RequestTimeout:   30 * time.Second,
-		BreakerThreshold: -1,
-		FleetCache:       fleet,
-		Faults:           inj,
-		Logger:           logger,
-	})
-	fmt.Printf("%shttp://%s\n", workerBanner, ln.Addr())
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatalf("cache member: serve: %v", err)
-	}
-}
 
 // cachePoint is one drill point: the partial-override JSON the wire
 // carries and the resolved params the parent predicts owners with.
@@ -118,35 +71,14 @@ func cacheDrillPoints(n int) []cachePoint {
 	return points
 }
 
-// cacheComputesRe extracts the fleet compute counter from a /metrics
-// scrape.
-var cacheComputesRe = regexp.MustCompile(`(?m)^yapserve_fleetcache_computes_total (\d+)$`)
-
 // cacheComputes scrapes one member's engine-computation count; -1 means
 // unreachable.
 func cacheComputes(ctx context.Context, base string) int64 {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+	n, err := scrapeMetric(ctx, base, "yapserve_fleetcache_computes_total")
 	if err != nil {
 		return -1
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return -1
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return -1
-	}
-	m := cacheComputesRe.FindSubmatch(body)
-	if m == nil {
-		return -1
-	}
-	n, err := strconv.ParseInt(string(m[1]), 10, 64)
-	if err != nil {
-		return -1
-	}
-	return n
+	return int64(n)
 }
 
 // runCacheDrill is the parent side; returns the process exit code.
@@ -185,9 +117,8 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 				peers = append(peers, u)
 			}
 		}
-		procs[i], err = startSubprocess([]string{pace}, "-cache-server-exec",
-			"-cache-exec-addr", addrs[i], "-cache-exec-self", urls[i],
-			"-cache-exec-peers", strings.Join(peers, ","))
+		procs[i], err = startSubprocess([]string{pace}, "-addr", addrs[i], "-advertise", urls[i],
+			"-cache-peers", strings.Join(peers, ","), "-timeout", "30s", "-breaker-threshold", "-1")
 		if err != nil {
 			logger.Fatalf("cache: starting member %d: %v", i, err)
 		}
@@ -234,7 +165,7 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 	// deterministic: every point is queryable on its owner.
 	first := sendBatch(0)
 	if first == nil {
-		return d.cacheExit(0, 0)
+		return d.exit("all fleet-cache invariants held")
 	}
 	logger.Printf("cache: round 1 on member 0: computed=%d peer_hits=%d coalesced=%d cache_hits=%d",
 		first.Computed, first.PeerHits, first.Coalesced, first.CacheHits)
@@ -355,7 +286,7 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 	}
 	fmt.Printf("yapload: cache drill: %d members × %d rounds × %d points ⇒ %d fleet-wide computations (budget %d, naive %d)\n",
 		members, rounds, pointCount, total, budget, naive)
-	return d.cacheExit(total, naive)
+	return d.exit(fmt.Sprintf("all fleet-cache invariants held (%d computations vs %d naive)", total, naive))
 }
 
 // freshDeadOwnedPoint scans pitches beyond the drill set for one whose
@@ -374,16 +305,4 @@ func freshDeadOwnedPoint(urls []string, dead, mode string, startIdx int) *cacheP
 		}
 	}
 	return nil
-}
-
-// cacheExit prints collected violations and maps them onto an exit code.
-func (d *drill) cacheExit(total, naive int64) int {
-	if len(d.violations) > 0 {
-		for _, v := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
-		}
-		return 1
-	}
-	fmt.Printf("yapload: all fleet-cache invariants held (%d computations vs %d naive)\n", total, naive)
-	return 0
 }

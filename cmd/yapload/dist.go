@@ -1,9 +1,10 @@
 package main
 
 // The distributed-simulation drill (-dist): a true multi-process
-// topology — this binary re-execs itself as N worker daemons, points an
-// in-process coordinator at them, and asserts the subsystem's load-bearing
-// invariants end to end over real HTTP:
+// topology. It starts N yapserve -worker daemons, each a `yapload serve`
+// child running internal/daemon.Run, points an in-process coordinator at
+// them, and asserts the subsystem's load-bearing invariants end to end
+// over real HTTP:
 //
 //   - bit-identity: every distributed run (W2W and D2W) merges to exactly
 //     the sim.Result a single-node run produces for the same seed, and
@@ -33,6 +34,7 @@ import (
 	"reflect"
 	"regexp"
 	"strconv"
+	"strings"
 	"time"
 
 	"yap/internal/client"
@@ -45,42 +47,13 @@ import (
 )
 
 var (
-	distMode    = flag.Bool("dist", false, "run the distributed-simulation drill instead of the load mix")
-	distNum     = flag.Int("dist-workers", 3, "worker processes to spawn for the -dist drill")
-	distKill    = flag.Bool("dist-kill", true, "SIGKILL one worker mid-drill and require recovery via reassignment")
-	distFaults  = flag.String("dist-faults", "", "coordinator-side fault spec for the -dist drill (dist.* hooks)")
-	distWorkerX = flag.Bool("dist-worker-exec", false, "internal: run as a -dist drill worker subprocess")
+	distMode   = flag.Bool("dist", false, "run the distributed-simulation drill instead of the load mix")
+	distNum    = flag.Int("dist-workers", 3, "worker processes to spawn for the -dist drill")
+	distKill   = flag.Bool("dist-kill", true, "SIGKILL one worker mid-drill and require recovery via reassignment")
+	distFaults = flag.String("dist-faults", "", "coordinator-side fault spec for the -dist drill (dist.* hooks)")
 )
 
-// workerBanner is the line a drill worker prints once it listens.
-const workerBanner = "YAPLOAD_WORKER "
-
-// runDistWorker is the subprocess side of the drill: a plain yapserve
-// worker on a kernel-assigned loopback port, announced on stdout. It runs
-// until the parent kills it — worker death is part of the drill.
-func runDistWorker(logger *log.Logger) {
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("worker: invalid %s: %v", faultinject.EnvVar, err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		logger.Fatalf("worker: listen: %v", err)
-	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    30 * time.Second,
-		BreakerThreshold:  -1,
-		Faults:            inj,
-	})
-	fmt.Printf("%shttp://%s\n", workerBanner, ln.Addr())
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatalf("worker: serve: %v", err)
-	}
-}
-
-// workerProc is one spawned drill worker.
+// workerProc is one drill daemon: a `yapload serve` child process.
 type workerProc struct {
 	cmd *exec.Cmd
 	url string
@@ -93,29 +66,33 @@ func (w *workerProc) kill() {
 	}
 }
 
-// startDrillWorker re-execs this binary in worker mode and waits for its
-// listen banner.
+// startDrillWorker starts one yapserve -worker daemon for the drill.
 func startDrillWorker(logger *log.Logger) (*workerProc, error) {
-	w, err := startSubprocess(nil, "-dist-worker-exec")
+	w, err := startSubprocess(nil, "-worker", "-addr", "127.0.0.1:0",
+		"-max-sims", "2", "-timeout", "30s", "-breaker-threshold", "-1")
 	if err == nil {
 		logger.Printf("dist: worker pid %d up at %s", w.cmd.Process.Pid, w.url)
 	}
 	return w, err
 }
 
-// startSubprocess re-execs this binary with the given flags (plus any
-// extra environment entries) and waits for its listen banner.
+// listeningPrefix marks the log line internal/daemon.Run writes once it
+// listens; the bound URL follows it up to the next space.
+const listeningPrefix = "listening on http://"
+
+// startSubprocess starts `yapload serve` with the given yapserve flags
+// (plus any extra environment entries), relays its log to stderr and
+// waits for the log line announcing the bound URL.
 func startSubprocess(extraEnv []string, args ...string) (*workerProc, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
 	}
-	cmd := exec.Command(exe, args...)
+	cmd := exec.Command(exe, append([]string{"serve"}, args...)...)
 	if len(extraEnv) > 0 {
 		cmd.Env = append(os.Environ(), extraEnv...)
 	}
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
+	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return nil, err
 	}
@@ -124,23 +101,33 @@ func startSubprocess(extraEnv []string, args ...string) (*workerProc, error) {
 	}
 	urls := make(chan string, 1)
 	go func() {
-		sc := bufio.NewScanner(stdout)
+		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
-			if len(line) > len(workerBanner) && line[:len(workerBanner)] == workerBanner {
-				urls <- line[len(workerBanner):]
-				break
+			fmt.Fprintln(os.Stderr, line)
+			if _, rest, ok := strings.Cut(line, listeningPrefix); ok {
+				addr, _, _ := strings.Cut(rest, " ")
+				select {
+				case urls <- "http://" + addr:
+				default:
+				}
 			}
 		}
-		// Keep draining so the child never blocks on a full pipe.
-		_, _ = io.Copy(io.Discard, stdout)
+		// Keep relaying so the child never blocks on a full pipe.
+		_, _ = io.Copy(os.Stderr, stderr)
+		close(urls)
 	}()
 	select {
-	case u := <-urls:
-		return &workerProc{cmd: cmd, url: u}, nil
+	case u, ok := <-urls:
+		if ok {
+			return &workerProc{cmd: cmd, url: u}, nil
+		}
+		_ = cmd.Wait()
+		return nil, fmt.Errorf("subprocess exited before listening: %v", cmd.ProcessState)
 	case <-time.After(15 * time.Second):
 		_ = cmd.Process.Kill()
-		return nil, errors.New("subprocess did not announce a listen address within 15s")
+		_ = cmd.Wait()
+		return nil, errors.New("subprocess did not log a listen address within 15s")
 	}
 }
 
@@ -299,18 +286,13 @@ func runDistDrill(logger *log.Logger, seed uint64, wafers, dies int) int {
 	}
 
 	fmt.Printf("yapload: dist drill: %d workers, stats %+v\n", *distNum, coord.Stats())
-	if len(d.violations) > 0 {
-		for _, v := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
-		}
-		return 1
-	}
-	fmt.Println("yapload: all distributed invariants held")
-	return 0
+	return d.exit("all distributed invariants held")
 }
 
 // startCoordinatorServer exposes the coordinator through a real yapserve
-// daemon on a loopback port.
+// daemon on a loopback port. It stays in-process rather than a `yapload
+// serve -workers` child because the drill calls this very coordinator's
+// Simulate and Stats directly.
 func startCoordinatorServer(coord *dist.Coordinator, logger *log.Logger) (string, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -334,34 +316,48 @@ func startCoordinatorServer(coord *dist.Coordinator, logger *log.Logger) (string
 	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
-// scrapeCounter fetches /metrics and returns the value of the named
-// un-labelled series (0 when absent).
-func scrapeCounter(ctx context.Context, d *drill, base, name string) float64 {
+// scrapeMetric fetches base's /metrics and returns the value of the
+// named un-labelled series.
+func scrapeMetric(ctx context.Context, base, name string) (float64, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
 	if err != nil {
-		d.violation("building /metrics request: %v", err)
-		return 0
+		return 0, err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		d.violation("scraping /metrics: %v", err)
-		return 0
+		return 0, err
 	}
 	defer resp.Body.Close() //nolint:errcheck
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		d.violation("reading /metrics: %v", err)
-		return 0
+		return 0, err
 	}
 	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\S+)$`).FindSubmatch(body)
 	if m == nil {
-		d.violation("/metrics lacks series %s", name)
-		return 0
+		return 0, fmt.Errorf("/metrics lacks series %s", name)
 	}
-	v, err := strconv.ParseFloat(string(m[1]), 64)
+	return strconv.ParseFloat(string(m[1]), 64)
+}
+
+// scrapeCounter is scrapeMetric for a drill check: a failed scrape is a
+// violation and reads as 0.
+func scrapeCounter(ctx context.Context, d *drill, base, name string) float64 {
+	v, err := scrapeMetric(ctx, base, name)
 	if err != nil {
-		d.violation("unparseable %s value %q", name, m[1])
-		return 0
+		d.violation("scraping %s from %s: %v", name, base, err)
 	}
 	return v
+}
+
+// exit prints the collected violations and maps them onto an exit code;
+// with none it prints the drill's success line.
+func (d *drill) exit(held string) int {
+	if len(d.violations) > 0 {
+		for _, v := range d.violations {
+			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
+		}
+		return 1
+	}
+	fmt.Println("yapload:", held)
+	return 0
 }

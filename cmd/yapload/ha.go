@@ -1,9 +1,10 @@
 package main
 
 // The high-availability drill (-ha): a true coordinator-failover
-// exercise over real processes. The binary re-execs itself as a
-// three-member replicated job control plane (internal/replica over real
-// HTTP), submits one paced Monte-Carlo job through the leader-following
+// exercise over real processes. It starts a three-member replicated job
+// control plane: yapserve daemons with -jobs-dir, -advertise and -peers,
+// each a `yapload serve` child running internal/daemon.Run, so the
+// members also share a fleet cache as a deployed cluster does. It submits one paced Monte-Carlo job through the leader-following
 // client, SIGKILLs the LEADER after the job has durably checkpointed but
 // long before it finishes, and asserts the subsystem's headline
 // invariants:
@@ -25,23 +26,17 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"regexp"
-	"strconv"
 	"strings"
 	"time"
 
 	"yap/internal/client"
 	"yap/internal/core"
 	"yap/internal/faultinject"
-	"yap/internal/jobs"
 	"yap/internal/replica"
 	"yap/internal/resilience"
 	"yap/internal/service"
@@ -49,62 +44,13 @@ import (
 )
 
 var (
-	haMode    = flag.Bool("ha", false, "run the replicated control-plane failover drill instead of the load mix")
-	haWafers  = flag.Int("ha-wafers", 120, "wafers for the -ha drill job")
-	haServerX = flag.Bool("ha-server-exec", false, "internal: run as a -ha drill cluster member subprocess")
-	haDir     = flag.String("ha-exec-dir", "", "internal: job store directory for the -ha member")
-	haAddr    = flag.String("ha-exec-addr", "", "internal: pre-reserved listen address for the -ha member")
-	haSelf    = flag.String("ha-exec-self", "", "internal: this member's advertised URL")
-	haPeers   = flag.String("ha-exec-peers", "", "internal: comma-separated peer URLs")
+	haMode   = flag.Bool("ha", false, "run the replicated control-plane failover drill instead of the load mix")
+	haWafers = flag.Int("ha-wafers", 120, "wafers for the -ha drill job")
 )
 
 // haLease keeps failover fast: a dead leader is succeeded within about
 // half a second, well inside the paced job's multi-second runtime.
-const haLease = 400 * time.Millisecond
-
-// runHAServer is the subprocess side: one member of the replica set on a
-// pre-reserved loopback port. Like the jobs drill daemon it never closes
-// the node — the parent SIGKILLs members to model crashes.
-func runHAServer(logger *log.Logger) {
-	if *haDir == "" || *haAddr == "" || *haSelf == "" || *haPeers == "" {
-		logger.Fatal("-ha-server-exec requires -ha-exec-dir, -ha-exec-addr, -ha-exec-self and -ha-exec-peers")
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("ha member: invalid %s: %v", faultinject.EnvVar, err)
-	}
-	node, err := replica.Open(replica.Config{
-		Dir:       *haDir,
-		Self:      *haSelf,
-		Peers:     strings.Split(*haPeers, ","),
-		Transport: &replica.HTTPTransport{},
-		Jobs:      jobs.Config{Dir: *haDir, SimWorkers: 2, Faults: inj, Logger: logger},
-		Lease:     haLease,
-		Faults:    inj,
-		Logger:    logger,
-	})
-	if err != nil {
-		logger.Fatalf("ha member: opening replica node: %v", err)
-	}
-	ln, err := net.Listen("tcp", *haAddr)
-	if err != nil {
-		logger.Fatalf("ha member: listen %s: %v", *haAddr, err)
-	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    30 * time.Second,
-		BreakerThreshold:  -1,
-		Faults:            inj,
-		Jobs:              node.Jobs(),
-		Replica:           node,
-		Logger:            logger,
-	})
-	fmt.Printf("%shttp://%s\n", workerBanner, ln.Addr())
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatalf("ha member: serve: %v", err)
-	}
-}
+const haLease = "400ms"
 
 // reserveAddrs grabs n kernel-assigned loopback ports and releases them
 // again: the replica members must know each other's URLs before any of
@@ -123,33 +69,13 @@ func reserveAddrs(n int) ([]string, error) {
 	return addrs, nil
 }
 
-// haRoleRe extracts the replica role gauge from a /metrics scrape.
-var haRoleRe = regexp.MustCompile(`(?m)^yapserve_replica_role (\d+)$`)
-
 // haRole probes one member's role via /metrics; -1 means unreachable.
 func haRole(ctx context.Context, base string) int {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+	role, err := scrapeMetric(ctx, base, "yapserve_replica_role")
 	if err != nil {
 		return -1
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return -1
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return -1
-	}
-	m := haRoleRe.FindSubmatch(body)
-	if m == nil {
-		return -1
-	}
-	role, err := strconv.Atoi(string(m[1]))
-	if err != nil {
-		return -1
-	}
-	return role
+	return int(role)
 }
 
 // haWaitLeader polls the live members until exactly one reports itself
@@ -223,9 +149,8 @@ func runHADrill(logger *log.Logger, seed uint64) int {
 			logger.Fatalf("ha: store dir: %v", err)
 		}
 		defer os.RemoveAll(dir) //nolint:errcheck
-		procs[i], err = startSubprocess([]string{pace}, "-ha-server-exec",
-			"-ha-exec-dir", dir, "-ha-exec-addr", addrs[i],
-			"-ha-exec-self", urls[i], "-ha-exec-peers", strings.Join(peers, ","))
+		procs[i], err = startSubprocess([]string{pace}, jobsDaemonArgs(addrs[i], dir,
+			"-advertise", urls[i], "-peers", strings.Join(peers, ","), "-election-lease", haLease)...)
 		if err != nil {
 			logger.Fatalf("ha: starting member %d: %v", i, err)
 		}
@@ -236,7 +161,7 @@ func runHADrill(logger *log.Logger, seed uint64) int {
 	leader := haWaitLeader(ctx, urls, dead, 10*time.Second)
 	if leader < 0 {
 		d.violation("no single leader emerged from the fresh cluster")
-		return d.haExit()
+		return d.exit("all high-availability invariants held")
 	}
 	logger.Printf("ha: member %d leads", leader)
 
@@ -269,7 +194,7 @@ func runHADrill(logger *log.Logger, seed uint64) int {
 			time.Sleep(5 * time.Millisecond)
 		default:
 			d.violation("job reached %q before the kill could land; the drill exercised nothing", job.State)
-			return d.haExit()
+			return d.exit("all high-availability invariants held")
 		}
 	}
 	logger.Printf("ha: SIGKILLing leader %d (pid %d) with %d/%d samples checkpointed",
@@ -283,7 +208,7 @@ func runHADrill(logger *log.Logger, seed uint64) int {
 	successor := haWaitLeader(ctx, urls, dead, 15*time.Second)
 	if successor < 0 {
 		d.violation("no successor elected after the leader died")
-		return d.haExit()
+		return d.exit("all high-availability invariants held")
 	}
 	logger.Printf("ha: member %d took over", successor)
 
@@ -339,17 +264,5 @@ func runHADrill(logger *log.Logger, seed uint64) int {
 
 	fmt.Printf("yapload: ha drill: killed leader at %d/%d samples, follower finished the job\n",
 		atKill.Completed, wafers)
-	return d.haExit()
-}
-
-// haExit prints collected violations and maps them onto an exit code.
-func (d *drill) haExit() int {
-	if len(d.violations) > 0 {
-		for _, v := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
-		}
-		return 1
-	}
-	fmt.Println("yapload: all high-availability invariants held")
-	return 0
+	return d.exit("all high-availability invariants held")
 }

@@ -1,8 +1,8 @@
 package main
 
 // The durable-jobs drill (-jobs): a true crash-recovery exercise over
-// real processes. The binary re-execs itself as a yapserve-equivalent
-// daemon with a durable job store, submits one Monte-Carlo job paced by
+// real processes. It starts a yapserve with -jobs-dir (a `yapload serve`
+// child running internal/daemon.Run), submits one Monte-Carlo job paced by
 // an injected jobs.run delay, SIGKILLs the daemon after the job has
 // durably checkpointed but long before it finishes, restarts a fresh
 // daemon over the same store, and asserts the subsystem's headline
@@ -21,28 +21,22 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"time"
 
 	"yap/internal/client"
 	"yap/internal/core"
 	"yap/internal/faultinject"
-	"yap/internal/jobs"
 	"yap/internal/service"
 	"yap/internal/sim"
 )
 
 var (
-	jobsMode    = flag.Bool("jobs", false, "run the durable-jobs crash-recovery drill instead of the load mix")
-	jobsWafers  = flag.Int("jobs-wafers", 120, "wafers for the -jobs drill job")
-	jobsServerX = flag.Bool("jobs-server-exec", false, "internal: run as a -jobs drill daemon subprocess")
-	jobsExecDir = flag.String("jobs-exec-dir", "", "internal: job store directory for the -jobs drill daemon")
+	jobsMode   = flag.Bool("jobs", false, "run the durable-jobs crash-recovery drill instead of the load mix")
+	jobsWafers = flag.Int("jobs-wafers", 120, "wafers for the -jobs drill job")
 )
 
 // jobsCheckpointEvery paces the drill job: with the injected 25ms delay
@@ -50,39 +44,12 @@ var (
 // the SIGKILL after the first durable checkpoint.
 const jobsCheckpointEvery = 2
 
-// runJobsServer is the subprocess side: a daemon with a durable job
-// store on a kernel-assigned loopback port, announced on stdout. It
-// deliberately never closes the manager — the parent SIGKILLs it to
-// model a crash, and a clean shutdown would defeat the drill.
-func runJobsServer(logger *log.Logger) {
-	if *jobsExecDir == "" {
-		logger.Fatal("-jobs-server-exec requires -jobs-exec-dir")
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("jobs daemon: invalid %s: %v", faultinject.EnvVar, err)
-	}
-	jm, err := jobs.Open(jobs.Config{Dir: *jobsExecDir, SimWorkers: 2, Faults: inj, Logger: logger})
-	if err != nil {
-		logger.Fatalf("jobs daemon: opening store: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		logger.Fatalf("jobs daemon: listen: %v", err)
-	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    30 * time.Second,
-		BreakerThreshold:  -1,
-		Faults:            inj,
-		Jobs:              jm,
-		Logger:            logger,
-	})
-	fmt.Printf("%shttp://%s\n", workerBanner, ln.Addr())
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatalf("jobs daemon: serve: %v", err)
-	}
+// jobsDaemonArgs are the yapserve flags of a drill daemon listening on
+// addr with a durable job store in dir. The stream and HA drills extend
+// them.
+func jobsDaemonArgs(addr, dir string, extra ...string) []string {
+	return append([]string{"-addr", addr, "-jobs-dir", dir, "-sim-workers", "2",
+		"-max-sims", "2", "-timeout", "30s", "-breaker-threshold", "-1"}, extra...)
 }
 
 // runJobsDrill is the parent side; returns the process exit code.
@@ -112,7 +79,7 @@ func runJobsDrill(logger *log.Logger, seed uint64) int {
 	// Daemon #1: every job slice is delayed 25ms through the jobs.run
 	// fault hook, pacing the job so the kill cannot race completion.
 	pace := fmt.Sprintf("%s=seed=1,%s=1:delay:25ms", faultinject.EnvVar, faultinject.HookJobsRun)
-	daemon, err := startSubprocess([]string{pace}, "-jobs-server-exec", "-jobs-exec-dir", dir)
+	daemon, err := startSubprocess([]string{pace}, jobsDaemonArgs("127.0.0.1:0", dir)...)
 	if err != nil {
 		logger.Fatalf("jobs: starting daemon: %v", err)
 	}
@@ -145,7 +112,7 @@ func runJobsDrill(logger *log.Logger, seed uint64) int {
 			time.Sleep(5 * time.Millisecond)
 		default:
 			d.violation("job reached %q before the kill could land; the drill exercised nothing", job.State)
-			return d.exit()
+			return d.exit("all durable-job invariants held")
 		}
 	}
 	logger.Printf("jobs: SIGKILLing daemon pid %d with %d/%d samples checkpointed",
@@ -157,7 +124,7 @@ func runJobsDrill(logger *log.Logger, seed uint64) int {
 
 	// Daemon #2 over the same store, unpaced: recovery replays the WAL
 	// and resumes the job from its last durable checkpoint.
-	daemon2, err := startSubprocess([]string{faultinject.EnvVar + "="}, "-jobs-server-exec", "-jobs-exec-dir", dir)
+	daemon2, err := startSubprocess([]string{faultinject.EnvVar + "="}, jobsDaemonArgs("127.0.0.1:0", dir)...)
 	if err != nil {
 		logger.Fatalf("jobs: restarting daemon: %v", err)
 	}
@@ -197,17 +164,5 @@ func runJobsDrill(logger *log.Logger, seed uint64) int {
 	}
 
 	fmt.Printf("yapload: jobs drill: killed at %d/%d samples, resumed and finished\n", atKill.Completed, wafers)
-	return d.exit()
-}
-
-// exit prints collected violations and maps them onto an exit code.
-func (d *drill) exit() int {
-	if len(d.violations) > 0 {
-		for _, v := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
-		}
-		return 1
-	}
-	fmt.Println("yapload: all durable-job invariants held")
-	return 0
+	return d.exit("all durable-job invariants held")
 }

@@ -17,39 +17,49 @@
 //
 //	yapload -n 500 -c 16 -faults 'seed=7,sim.*=0.05:error,service.*=0.1:error'
 //
-// With -dist it instead drills the distributed-simulation subsystem:
-// it re-execs itself as -dist-workers worker processes, shards runs
-// across them through internal/dist, and asserts bit-identity against
-// single-node baselines plus recovery from a SIGKILLed worker (see
-// dist.go for the full invariant list):
+// The real-process drills below run their daemons as subprocesses:
+// `yapload serve <yapserve flags>` runs internal/daemon.Run, the same
+// wiring cmd/yapserve runs, so every drill daemon is a yapserve.
+//
+// With -dist it drills the distributed-simulation subsystem: it starts
+// -dist-workers yapserve -worker processes, shards runs across them
+// through internal/dist, and asserts bit-identity against single-node
+// baselines plus recovery from a SIGKILLed worker (see dist.go for the
+// full invariant list):
 //
 //	yapload -dist -dist-workers 3 -dist-faults 'seed=5,dist.dispatch=0.1:error'
 //
-// With -jobs it drills the durable asynchronous job subsystem: it
-// re-execs itself as a daemon with a job store, SIGKILLs it after the
-// submitted job has durably checkpointed, restarts it over the same
-// store, and requires the resumed job to finish with a result
-// bit-identical to an uninterrupted run (see jobs.go):
+// With -jobs it drills the durable asynchronous job subsystem: it starts
+// a yapserve with -jobs-dir, SIGKILLs it after the submitted job has
+// durably checkpointed, restarts it over the same store, and requires
+// the resumed job to finish with a result bit-identical to an
+// uninterrupted run (see jobs.go):
 //
 //	yapload -jobs -jobs-wafers 120
 //
 // With -stream it drills the live convergence stream: it watches a paced
-// job over SSE, drops the connection mid-run, resumes from the last
-// event ID, and requires the streamed final result to be bit-identical
-// to the poll endpoint's — plus an epsilon-armed job that must stop
-// early with the stop visible on /metrics (see stream.go):
+// job on a yapserve with -jobs-dir over SSE, drops the connection
+// mid-run, resumes from the last event ID, and requires the streamed
+// final result to be bit-identical to the poll endpoint's — plus an
+// epsilon-armed job that must stop early with the stop visible on
+// /metrics (see stream.go):
 //
 //	yapload -stream
 //
-// With -ha it drills the replicated job control plane: it re-execs
-// itself as a three-member replica cluster, submits a paced job through
-// a follower (exercising the client's leader-following redirect),
-// SIGKILLs the LEADER after the first durable checkpoint, and requires a
-// surviving follower to finish the job with a bit-identical result —
-// then kills a second member and requires quorumless submits to be
-// refused (see ha.go):
+// With -ha it drills the replicated job control plane: it starts a
+// three-member yapserve cluster (-peers, sharing a fleet cache), submits
+// a paced job through a follower (exercising the client's
+// leader-following redirect), SIGKILLs the LEADER after the first
+// durable checkpoint, and requires a surviving follower to finish the
+// job with a bit-identical result — then kills a second member and
+// requires quorumless submits to be refused (see ha.go):
 //
 //	yapload -ha -ha-wafers 120
+//
+// With -cache it drills the fleet-wide evaluate cache over a
+// three-member yapserve fleet wired through -cache-peers (see cache.go):
+//
+//	yapload -cache
 //
 // Exits 1 when any invariant is violated.
 package main
@@ -64,10 +74,13 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
 	"yap/internal/client"
+	"yap/internal/daemon"
 	"yap/internal/faultinject"
 	"yap/internal/randx"
 	"yap/internal/resilience"
@@ -104,6 +117,10 @@ func (t *tally) violation(format string, args ...any) {
 }
 
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		serve(os.Args[2:])
+		return
+	}
 	var (
 		target   = flag.String("target", "", "server base URL; empty starts an in-process server on a loopback port")
 		faults   = flag.String("faults", "", "fault-injection spec for the in-process server (default: $"+faultinject.EnvVar+")")
@@ -118,22 +135,6 @@ func main() {
 	flag.Parse()
 	logger := log.New(os.Stderr, "yapload: ", log.LstdFlags)
 
-	if *distWorkerX {
-		runDistWorker(logger)
-		return
-	}
-	if *jobsServerX {
-		runJobsServer(logger)
-		return
-	}
-	if *haServerX {
-		runHAServer(logger)
-		return
-	}
-	if *cacheServerX {
-		runCacheServer(logger)
-		return
-	}
 	if *distMode {
 		os.Exit(runDistDrill(logger, *seed, *wafers, *dies))
 	}
@@ -232,8 +233,22 @@ func main() {
 	fmt.Println("yapload: all invariants held")
 }
 
+// serve is the hidden `yapload serve <yapserve flags>` mode every drill
+// daemon runs: yapserve's own wiring, logging under a per-process prefix
+// so interleaved members stay attributable. SIGINT/SIGTERM drain it.
+func serve(args []string) {
+	logger := log.New(os.Stderr, fmt.Sprintf("yapserve[%d]: ", os.Getpid()), log.LstdFlags)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := daemon.Run(ctx, args, logger); err != nil && !errors.Is(err, flag.ErrHelp) {
+		logger.Fatal(err)
+	}
+}
+
 // startLocalServer boots an in-process yapserve on 127.0.0.1:0 and
-// returns its base URL and a shutdown func.
+// returns its base URL and a shutdown func. The load mix keeps this one
+// in-process rather than a `yapload serve` child because it prints the
+// server-side injector's fault activity, which lives in this process.
 func startLocalServer(inj *faultinject.Injector, logger *log.Logger) (string, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -2,10 +2,10 @@ package main
 
 // The convergence-streaming drill (-stream): a live watch over a durable
 // job's SSE stream, with the connection deliberately dropped mid-run and
-// resumed from the last event ID. The daemon runs in-process with a job
-// store, every job slice paced by an injected jobs.run delay so the drop
-// cannot race completion, and heartbeats tightened to exercise the
-// keep-alive path. Invariants:
+// resumed from the last event ID. The daemon is a yapserve with -jobs-dir
+// (a `yapload serve` child running internal/daemon.Run), every job slice
+// paced by an injected jobs.run delay so the drop cannot race completion,
+// and heartbeats tightened to exercise the keep-alive path. Invariants:
 //
 //   - stream events are well-formed: sequence numbers strictly increase,
 //     completed counts never regress, and every running yield estimate is
@@ -28,8 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"reflect"
 	"time"
@@ -37,7 +35,6 @@ import (
 	"yap/internal/client"
 	"yap/internal/core"
 	"yap/internal/faultinject"
-	"yap/internal/jobs"
 	"yap/internal/service"
 )
 
@@ -59,25 +56,20 @@ func runStreamDrill(logger *log.Logger, seed uint64) int {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	inj, err := faultinject.ParseSpec(fmt.Sprintf("seed=1,%s=1:delay:25ms", faultinject.HookJobsRun))
-	if err != nil {
-		logger.Fatalf("stream: fault spec: %v", err)
-	}
 	dir, err := os.MkdirTemp("", "yapload-stream-*")
 	if err != nil {
 		logger.Fatalf("stream: store dir: %v", err)
 	}
 	defer os.RemoveAll(dir) //nolint:errcheck
-	jm, err := jobs.Open(jobs.Config{Dir: dir, SimWorkers: 2, Faults: inj, Logger: logger})
+	pace := fmt.Sprintf("%s=seed=1,%s=1:delay:25ms", faultinject.EnvVar, faultinject.HookJobsRun)
+	daemon, err := startSubprocess([]string{pace},
+		jobsDaemonArgs("127.0.0.1:0", dir, "-stream-heartbeat", "100ms")...)
 	if err != nil {
-		logger.Fatalf("stream: opening job store: %v", err)
+		logger.Fatalf("stream: starting daemon: %v", err)
 	}
-	defer jm.Close() //nolint:errcheck
-	base, shutdown, err := startStreamServer(jm, logger)
-	if err != nil {
-		logger.Fatalf("stream: starting server: %v", err)
-	}
-	defer shutdown()
+	defer daemon.kill()
+	logger.Printf("stream: daemon pid %d up at %s (paced)", daemon.cmd.Process.Pid, daemon.url)
+	base := daemon.url
 	cli, err := client.New(client.Config{BaseURL: base, MaxAttempts: 4})
 	if err != nil {
 		logger.Fatalf("stream: client: %v", err)
@@ -203,16 +195,9 @@ func runStreamDrill(logger *log.Logger, seed uint64) int {
 		d.violation("yapserve_stream_subscribers %v after all watches ended, want 0", got)
 	}
 
-	if len(d.violations) > 0 {
-		for _, viol := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", viol)
-		}
-		return 1
-	}
 	fmt.Printf("yapload: stream drill: %d events validated, dropped at seq %d and resumed, early stop verified\n",
 		v.events, dropSeq)
-	fmt.Println("yapload: all streaming invariants held")
-	return 0
+	return d.exit("all streaming invariants held")
 }
 
 // streamValidator applies the per-event invariants across both halves of
@@ -248,30 +233,4 @@ func (v *streamValidator) observe(ev *service.JobStreamEvent) {
 	}
 	copied := *ev
 	v.last = &copied
-}
-
-// startStreamServer boots the in-process daemon for the drill: job store
-// attached, fast heartbeats, no breaker.
-func startStreamServer(jm *jobs.Manager, logger *log.Logger) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    30 * time.Second,
-		BreakerThreshold:  -1,
-		Jobs:              jm,
-		StreamHeartbeat:   100 * time.Millisecond,
-		Logger:            logger,
-	})
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go httpSrv.Serve(ln) //nolint:errcheck // closed by shutdown below
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)     //nolint:errcheck
-		httpSrv.Shutdown(ctx) //nolint:errcheck
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
 }

@@ -225,31 +225,6 @@ func atLeastKOfN(p float64, k, n int) float64 {
 	return sum
 }
 
-// OptimalChipletArea sweeps square chiplet areas and returns the one
-// maximizing the D2W system yield, together with that yield. Note that by
-// pure probability larger chiplets usually win (bond events shrink while
-// Poisson front-end defects are partition-invariant); the economically
-// meaningful optimum is CheapestChipletArea's.
-func OptimalChipletArea(cfg Config, areas []float64) (bestArea, bestYield float64, err error) {
-	if len(areas) == 0 {
-		return 0, 0, fmt.Errorf("assembly: no candidate areas")
-	}
-	bestYield = -1
-	for _, a := range areas {
-		c := cfg
-		c.Bonding = cfg.Bonding.WithDieArea(a)
-		r, err := EvaluateD2W(c)
-		if err != nil {
-			return 0, 0, fmt.Errorf("assembly: area %g: %w", a, err)
-		}
-		if r.SystemYield > bestYield {
-			bestYield = r.SystemYield
-			bestArea = a
-		}
-	}
-	return bestArea, bestYield, nil
-}
-
 // YieldedCostD2W returns the expected silicon area consumed per *good*
 // system — the "how small is too small" cost metric of Graening et al.
 // [10] restated in area units (multiply by cost per wafer area for money):

@@ -192,29 +192,6 @@ func TestAtLeastKOfNMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestOptimalChipletAreaYieldFavorsLarge(t *testing.T) {
-	// By raw probability, larger chiplets win: bonding events shrink while
-	// Poisson-ish front-end defects are partition-invariant. Use areas that
-	// divide the system evenly so the ⌈·⌉ site count doesn't distort the
-	// comparison.
-	cfg := baseConfig()
-	cfg.KnownGoodDie = true
-	areas := []float64{10, 20, 40, 50, 100, 200}
-	for i := range areas {
-		areas[i] *= units.SquareMillimeter
-	}
-	best, yield, err := OptimalChipletArea(cfg, areas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if yield <= 0 || yield > 1 {
-		t.Fatalf("optimal yield %g", yield)
-	}
-	if best != areas[len(areas)-1] {
-		t.Errorf("KGD yield optimum %g, want largest area %g", best, areas[len(areas)-1])
-	}
-}
-
 func TestCheapestChipletAreaInteriorOptimum(t *testing.T) {
 	// The economically meaningful optimum: with known-good-die testing and
 	// a defective front-end process, small chiplets waste bonds and big
@@ -353,9 +330,6 @@ func TestConfigValidation(t *testing.T) {
 	cfg.Bonding.DefectShape = 1
 	if _, err := EvaluateD2W(cfg); err == nil {
 		t.Error("accepted invalid bonding params")
-	}
-	if _, _, err := OptimalChipletArea(baseConfig(), nil); err == nil {
-		t.Error("accepted empty area sweep")
 	}
 }
 

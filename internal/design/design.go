@@ -230,45 +230,3 @@ func ProcessWindow(m Mode, base core.Params, x, y Axis) (*Window, error) {
 	}
 	return w, nil
 }
-
-// GoldenMaximize finds the maximizer of a unimodal objective on [lo, hi]
-// by golden-section search, returning (argmax, max). It backs design
-// questions like the yield-optimal chiplet area of a fixed system.
-func GoldenMaximize(f func(float64) (float64, error), lo, hi, tol float64) (float64, float64, error) {
-	if !(hi > lo) || tol <= 0 {
-		return 0, 0, fmt.Errorf("design: bad golden-section range [%g, %g]", lo, hi)
-	}
-	const phi = 0.6180339887498949 // (√5−1)/2
-	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, err := f(c)
-	if err != nil {
-		return 0, 0, err
-	}
-	fd, err := f(d)
-	if err != nil {
-		return 0, 0, err
-	}
-	for b-a > tol {
-		if fc > fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			if fc, err = f(c); err != nil {
-				return 0, 0, err
-			}
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			if fd, err = f(d); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	x := 0.5 * (a + b)
-	fx, err := f(x)
-	if err != nil {
-		return 0, 0, err
-	}
-	return x, fx, nil
-}

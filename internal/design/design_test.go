@@ -2,7 +2,6 @@ package design
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"yap/internal/core"
@@ -211,48 +210,6 @@ func TestProcessWindowBadAxis(t *testing.T) {
 	logBad := Axis{Lo: 0, Hi: 1, Steps: 3, Log: true, Apply: good.Apply}
 	if _, err := ProcessWindow(W2W, base, good, logBad); err == nil {
 		t.Error("accepted log axis from zero")
-	}
-}
-
-func TestGoldenMaximize(t *testing.T) {
-	// Max of −(x−2)² + 5 at x = 2.
-	f := func(x float64) (float64, error) { return -(x-2)*(x-2) + 5, nil }
-	x, fx, err := GoldenMaximize(f, 0, 10, 1e-8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-2) > 1e-6 || math.Abs(fx-5) > 1e-10 {
-		t.Errorf("golden max at (%g, %g), want (2, 5)", x, fx)
-	}
-	if _, _, err := GoldenMaximize(f, 5, 5, 1e-8); err == nil {
-		t.Error("accepted empty range")
-	}
-}
-
-func TestGoldenMaximizeOnYieldCurve(t *testing.T) {
-	// Yield-per-area objective over pitch: coarse pitch wastes interconnect
-	// density, fine pitch wastes yield. Define a figure of merit
-	// FOM = Y_W2W / pitch² (connections per area times yield) — unimodal
-	// over the searched range.
-	base := core.Baseline()
-	fom := func(pitch float64) (float64, error) {
-		b, err := base.WithPitch(pitch).EvaluateW2W()
-		if err != nil {
-			return 0, err
-		}
-		return b.Total / (pitch * pitch), nil
-	}
-	x, _, err := GoldenMaximize(fom, 0.6*units.Micrometer, 10*units.Micrometer, 1e-9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The optimum is at the fine end but not at the boundary (yield
-	// collapse caps it).
-	if x <= 0.6*units.Micrometer+1e-9 {
-		t.Errorf("FOM optimum stuck at fine boundary: %g", x)
-	}
-	if x > 3*units.Micrometer {
-		t.Errorf("FOM optimum %g implausibly coarse", x)
 	}
 }
 

@@ -186,10 +186,3 @@ func CircleOverlapsRect(c Vec2, radius float64, r Rect) bool {
 func SegmentRectAvgCriticalArea(a, b, l float64) float64 {
 	return a*b + 2/math.Pi*(a+b)*l
 }
-
-// SquaresOverlap reports whether two axis-aligned squares, centered at c1
-// and c2 with half-sides h1 and h2, intersect. Used by the D2W defect
-// model's square-void/square-pad kill rule (Eq. 25).
-func SquaresOverlap(c1 Vec2, h1 float64, c2 Vec2, h2 float64) bool {
-	return math.Abs(c1.X-c2.X) <= h1+h2 && math.Abs(c1.Y-c2.Y) <= h1+h2
-}

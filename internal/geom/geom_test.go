@@ -293,28 +293,6 @@ func TestSegmentRectAvgCriticalAreaMonteCarlo(t *testing.T) {
 	}
 }
 
-func TestSquaresOverlap(t *testing.T) {
-	cases := []struct {
-		c1   Vec2
-		h1   float64
-		c2   Vec2
-		h2   float64
-		want bool
-	}{
-		{Vec2{0, 0}, 1, Vec2{1.5, 0}, 1, true},
-		{Vec2{0, 0}, 1, Vec2{2, 0}, 1, true}, // edge contact
-		{Vec2{0, 0}, 1, Vec2{2.1, 0}, 1, false},
-		{Vec2{0, 0}, 1, Vec2{2, 2}, 1, true}, // corner contact
-		{Vec2{0, 0}, 0.5, Vec2{0, 3}, 1, false},
-		{Vec2{0, 0}, 5, Vec2{1, 1}, 0.1, true}, // containment
-	}
-	for _, c := range cases {
-		if got := SquaresOverlap(c.c1, c.h1, c.c2, c.h2); got != c.want {
-			t.Errorf("SquaresOverlap(%v,%g,%v,%g) = %v, want %v", c.c1, c.h1, c.c2, c.h2, got, c.want)
-		}
-	}
-}
-
 func TestRectCorners(t *testing.T) {
 	r := Rect{1, 2, 3, 4}
 	corners := r.Corners()

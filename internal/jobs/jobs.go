@@ -185,11 +185,27 @@ func baseResult(mode string, c sim.Counts, completed int) sim.Result {
 	return sim.Result{Mode: resultMode(mode), Counts: c, Completed: completed, Requested: completed}
 }
 
-// finishedResult reconstructs a terminal Result (yields, Wilson CI) from
-// durable tallies by folding the base through sim.Merge — the exact
-// arithmetic every other result in the repo uses.
-func finishedResult(mode string, c sim.Counts, completed int) (sim.Result, error) {
-	return sim.Merge(baseResult(mode, c, completed))
+// rebuildResult sets a done job's missing Result (yields, Wilson CI) from
+// its durable tallies by folding the base through sim.Merge — the exact
+// arithmetic every other result in the repo uses. Recovery, replicated
+// appends and truncations all rebuild it here, so every member reports
+// the same bits. A done job short of its cap can only have stopped early,
+// so that flag is reconstructible from durable state alone. Sweep results
+// live in Job.Sweep; other jobs are left untouched.
+func rebuildResult(job *Job) error {
+	if job.State != StateDone || job.Result != nil || job.Spec.Mode == ModeSweep {
+		return nil
+	}
+	res, err := sim.Merge(baseResult(job.Spec.Mode, job.Counts, job.Completed))
+	if err != nil {
+		return err
+	}
+	if job.Completed < job.Spec.Samples {
+		res.Requested = job.Spec.Samples
+		res.StoppedEarly = true
+	}
+	job.Result = &res
+	return nil
 }
 
 // WAL record and snapshot wire shapes. Records are JSON payloads inside

@@ -132,6 +132,13 @@ func (c Config) checkpointEvery() int {
 	return 200
 }
 
+func (c Config) walSegmentBytes() int64 {
+	if c.WALSegmentBytes > 0 {
+		return c.WALSegmentBytes
+	}
+	return defaultSegmentBytes
+}
+
 func (c Config) resultTTL() time.Duration {
 	if c.ResultTTL != 0 {
 		return c.ResultTTL
@@ -333,7 +340,7 @@ func Open(cfg Config) (*Manager, error) {
 	if len(records) == 0 && m.replBaseTerm > m.replTerm {
 		m.replTerm = m.replBaseTerm
 	}
-	m.wal, err = openWAL(cfg.Dir, cfg.WALSegmentBytes, pos)
+	m.wal, err = openWAL(cfg.Dir, cfg.walSegmentBytes(), pos)
 	if err != nil {
 		return nil, err
 	}
@@ -358,22 +365,8 @@ func Open(cfg Config) (*Manager, error) {
 	// tallies for done jobs recovered from disk. Iterate in ID order so
 	// any reconstruction log lines replay identically run to run.
 	for _, js := range m.ordered() {
-		if js.job.State == StateDone && js.job.Result == nil {
-			if js.job.Spec.Mode == ModeSweep {
-				continue // sweep results live in Job.Sweep, nothing to rebuild
-			}
-			res, err := finishedResult(js.job.Spec.Mode, js.job.Counts, js.job.Completed)
-			if err != nil {
-				m.logf("recovery: job %s result reconstruction: %v", js.job.ID, err)
-				continue
-			}
-			// A done job short of its cap can only have stopped early; the
-			// flag is reconstructible from durable state alone.
-			if js.job.Completed < js.job.Spec.Samples {
-				res.Requested = js.job.Spec.Samples
-				res.StoppedEarly = true
-			}
-			js.job.Result = &res
+		if err := rebuildResult(&js.job); err != nil {
+			m.logf("recovery: job %s result reconstruction: %v", js.job.ID, err)
 		}
 	}
 
@@ -581,16 +574,9 @@ func (m *Manager) ApplyReplicated(seq, prevTerm uint64, payload []byte, sum uint
 	if js, ok := m.jobs[rec.ID]; ok {
 		// Reconstruct the final Result from the terminal tallies the record
 		// carried — same arithmetic as recovery, so a client asking this
-		// follower (or this store once promoted) sees the leader's bits.
-		if js.job.State == StateDone && js.job.Result == nil && js.job.Spec.Mode != ModeSweep {
-			if res, err := finishedResult(js.job.Spec.Mode, js.job.Counts, js.job.Completed); err == nil {
-				if js.job.Completed < js.job.Spec.Samples {
-					res.Requested = js.job.Spec.Samples
-					res.StoppedEarly = true
-				}
-				js.job.Result = &res
-			}
-		}
+		// follower (or this store once promoted) sees the leader's bits. A
+		// tally that fails to rebuild leaves the job without a result.
+		_ = rebuildResult(&js.job)
 		m.publishLocked(js) // convergence streams work on followers too
 	}
 	return m.replSeq, m.replTerm, nil
@@ -710,17 +696,7 @@ func (m *Manager) TruncateReplicated(toSeq uint64) (uint64, uint64, error) {
 	// Same terminal-result reconstruction as recovery, so a client reading
 	// this follower keeps seeing full results for jobs that stayed done.
 	for _, js := range m.ordered() {
-		if js.job.State == StateDone && js.job.Result == nil && js.job.Spec.Mode != ModeSweep {
-			res, err := finishedResult(js.job.Spec.Mode, js.job.Counts, js.job.Completed)
-			if err != nil {
-				continue
-			}
-			if js.job.Completed < js.job.Spec.Samples {
-				res.Requested = js.job.Spec.Samples
-				res.StoppedEarly = true
-			}
-			js.job.Result = &res
-		}
+		_ = rebuildResult(&js.job)
 	}
 	for id, cs := range carried { //yaplint:allow determinism per-ID reattachment is order-independent
 		if js, ok := m.jobs[id]; ok {
@@ -743,11 +719,7 @@ func (m *Manager) CompactReplicated(commit uint64) {
 	if m.closed || m.active || m.replSeq == m.replBase || commit < m.replSeq {
 		return
 	}
-	segBytes := m.cfg.WALSegmentBytes
-	if segBytes <= 0 {
-		segBytes = defaultSegmentBytes
-	}
-	if m.wal.Size() <= 4*segBytes {
+	if m.wal.Size() <= 4*m.cfg.walSegmentBytes() {
 		return
 	}
 	if err := m.writeSnapshotLocked(); err != nil {
@@ -1702,14 +1674,10 @@ func (m *Manager) gcPass() {
 		m.stats.GCRemoved++
 		removed++
 	}
-	segBytes := m.cfg.WALSegmentBytes
-	if segBytes <= 0 {
-		segBytes = defaultSegmentBytes
-	}
 	// Compact when jobs were dropped, or when the accumulated segments
 	// outgrew their budget — the snapshot folds them away, and Reset
 	// deletes every fully-compacted segment file.
-	if removed > 0 || m.wal.Size() > 4*segBytes {
+	if removed > 0 || m.wal.Size() > 4*m.cfg.walSegmentBytes() {
 		if err := m.writeSnapshotLocked(); err != nil {
 			m.logf("gc: snapshot: %v", err)
 			return

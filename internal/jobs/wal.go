@@ -161,9 +161,7 @@ type wal struct {
 // physically discarded before new records land after it. segBytes of 0
 // uses the default rotation threshold.
 func openWAL(dir string, segBytes int64, pos walPos) (*wal, error) {
-	if segBytes <= 0 {
-		segBytes = defaultSegmentBytes
-	}
+	segBytes = Config{WALSegmentBytes: segBytes}.walSegmentBytes()
 	for _, stale := range pos.stale {
 		if err := os.Remove(stale); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("jobs: remove stale wal segment: %w", err)

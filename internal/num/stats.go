@@ -32,9 +32,6 @@ func Variance(xs []float64) float64 {
 	return s / float64(n-1)
 }
 
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // MSE returns the mean squared error between paired slices a and b.
 // The slices must have equal, nonzero length; otherwise NaN is returned.
 func MSE(a, b []float64) float64 {

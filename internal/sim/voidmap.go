@@ -27,13 +27,15 @@ type Void struct {
 type VoidMap struct {
 	// WaferRadius is the wafer radius (m).
 	WaferRadius float64
-	// Dies and PadRects describe the floorplan.
+	// Dies and PadRects describe the floorplan: PadRects[i] holds die i's
+	// pad-region rectangles in wafer coordinates, one per region of the
+	// effective pad layout (a single rectangle for the uniform die).
 	Dies     []wafer.Die
-	PadRects []geom.Rect
+	PadRects [][]geom.Rect
 	// Voids are the simulated defects.
 	Voids []Void
-	// Killed marks dies whose pad array is overlapped by a void tail or
-	// main void.
+	// Killed marks dies with a pad region overlapped by a void tail or
+	// main void — the kill rule both Monte-Carlo kernels apply.
 	Killed []bool
 }
 
@@ -57,20 +59,23 @@ func GenerateVoidMap(p core.Params, seed uint64, particles int) (*VoidMap, error
 		return nil, err
 	}
 	rng := randx.NewSource(seed)
-	layout := p.Layout()
-	dies := layout.Dies()
-	pads := p.PadArray()
+	dies := p.Layout().Dies()
+	grids := p.RegionGrids()
 	dp := p.DefectParams()
 	r := p.WaferRadius()
 
 	m := &VoidMap{
 		WaferRadius: r,
 		Dies:        dies,
-		PadRects:    make([]geom.Rect, len(dies)),
+		PadRects:    make([][]geom.Rect, len(dies)),
 		Killed:      make([]bool, len(dies)),
 	}
 	for i, d := range dies {
-		m.PadRects[i] = pads.PadArrayRectOn(d)
+		c := d.Center()
+		m.PadRects[i] = make([]geom.Rect, len(grids))
+		for j, g := range grids {
+			m.PadRects[i][j] = g.Grid.Rect.Translate(c)
+		}
 	}
 	if particles <= 0 {
 		particles = rng.Poisson(p.DefectDensity * math.Pi * r * r)
@@ -91,13 +96,11 @@ func GenerateVoidMap(p core.Params, seed uint64, particles int) (*VoidMap, error
 			Tail:       geom.Segment{A: pos, B: pos.Add(dir.Scale(dp.TailLength(dist, t)))},
 		}
 		m.Voids = append(m.Voids, v)
-		for i := range dies {
-			if m.Killed[i] {
-				continue
-			}
-			if v.Tail.IntersectsRect(m.PadRects[i]) ||
-				geom.CircleOverlapsRect(pos, v.MainRadius, m.PadRects[i]) {
-				m.Killed[i] = true
+		for i, rects := range m.PadRects {
+			for _, rect := range rects {
+				if !m.Killed[i] && (v.Tail.IntersectsRect(rect) || geom.CircleOverlapsRect(pos, v.MainRadius, rect)) {
+					m.Killed[i] = true
+				}
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"yap/internal/core"
 	"yap/internal/geom"
+	"yap/internal/layout"
 	"yap/internal/num"
 )
 
@@ -57,27 +58,52 @@ func TestGenerateVoidMapPoissonCount(t *testing.T) {
 	}
 }
 
+// TestGenerateVoidMapKillConsistency recomputes every die's kill flag
+// against that die's pad-region rectangles, as the Monte-Carlo kernels
+// test them: the uniform die's single full-grid region, and a layout
+// whose only pad region is one corner of the die, where a void crossing
+// the rest of the die must not kill it.
 func TestGenerateVoidMapKillConsistency(t *testing.T) {
-	p := core.Baseline()
-	m, err := GenerateVoidMap(p, 9, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recompute kills independently and compare.
-	for i, rect := range m.PadRects {
-		want := false
-		for _, v := range m.Voids {
-			if v.Tail.IntersectsRect(rect) || geom.CircleOverlapsRect(v.Particle, v.MainRadius, rect) {
-				want = true
-				break
+	corner := core.Baseline()
+	w, h := corner.DieWidth, corner.DieHeight
+	l := layout.Layout{Regions: []layout.Region{
+		{Name: "corner", X0: -w / 2, Y0: -h / 2, X1: -w / 4, Y1: -h / 4},
+	}}
+	corner.PadLayout = &l
+	for _, c := range []struct {
+		name string
+		p    core.Params
+	}{{"uniform", core.Baseline()}, {"corner region", corner}} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := GenerateVoidMap(c.p, 9, 200)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if m.Killed[i] != want {
-			t.Errorf("die %d kill flag %v, recomputed %v", i, m.Killed[i], want)
-		}
-	}
-	if m.KilledCount() == 0 {
-		t.Error("200 particles killed no dies — implausible at baseline")
+			grids := c.p.RegionGrids()
+			for i, d := range m.Dies {
+				if len(m.PadRects[i]) != len(grids) {
+					t.Fatalf("die %d has %d pad rects, want %d", i, len(m.PadRects[i]), len(grids))
+				}
+				want := false
+				for j, g := range grids {
+					rect := g.Grid.Rect.Translate(d.Center())
+					if m.PadRects[i][j] != rect {
+						t.Errorf("die %d region %d rect %v, want %v", i, j, m.PadRects[i][j], rect)
+					}
+					for _, v := range m.Voids {
+						if v.Tail.IntersectsRect(rect) || geom.CircleOverlapsRect(v.Particle, v.MainRadius, rect) {
+							want = true
+						}
+					}
+				}
+				if m.Killed[i] != want {
+					t.Errorf("die %d kill flag %v, recomputed %v", i, m.Killed[i], want)
+				}
+			}
+			if m.KilledCount() == 0 {
+				t.Error("200 particles killed no dies — implausible at baseline")
+			}
+		})
 	}
 }
 

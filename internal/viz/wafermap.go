@@ -24,16 +24,19 @@ func WaferMap(m *sim.VoidMap, title string) *Canvas {
 	// Wafer outline.
 	c.Circle(cx, cy, int(m.WaferRadius*scale), Black)
 
-	// Dies: killed dies shaded red, survivors light gray outline.
+	// Pad regions of every die: killed dies' regions shaded red, all
+	// outlined light gray.
 	killedFill := color.RGBA{245, 160, 160, 255}
-	for i, rect := range m.PadRects {
-		x0, y0 := px(rect.X0), py(rect.Y1)
-		w := px(rect.X1) - px(rect.X0)
-		h := py(rect.Y0) - py(rect.Y1)
-		if m.Killed[i] {
-			c.FillRect(x0, y0, w, h, killedFill)
+	for i, rects := range m.PadRects {
+		for _, rect := range rects {
+			x0, y0 := px(rect.X0), py(rect.Y1)
+			w := px(rect.X1) - px(rect.X0)
+			h := py(rect.Y0) - py(rect.Y1)
+			if m.Killed[i] {
+				c.FillRect(x0, y0, w, h, killedFill)
+			}
+			c.StrokeRect(x0, y0, w, h, Gray)
 		}
-		c.StrokeRect(x0, y0, w, h, Gray)
 	}
 
 	// Voids: tails as dark lines, main voids as disks (at least 1 px so

@@ -8,6 +8,7 @@ package yap
 // the job of cmd/yapvalidate and cmd/yapcases.
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"yap/internal/core"
@@ -98,6 +99,42 @@ func checkerLayout(w, h, coarse float64) *layout.Layout {
 		}
 	}
 	return l
+}
+
+// BenchmarkModelEvalSweep times both analytic modes over 64 seeded
+// off-Table-I design points shaped like the benchmark's sweep-cold
+// workload: pitch 3–9 µm with the §IV-B pad sizing, a square 6–12 mm die,
+// D₀ 0.05–0.3 cm⁻², σ₁ 3–8 nm, and one point in 32 tiled into 8 regions.
+// One iteration evaluates every point in both modes; points/s is reported.
+func BenchmarkModelEvalSweep(b *testing.B) {
+	r := rand.New(rand.NewPCG(1, 2))
+	points := make([]core.Params, 64)
+	for i := range points {
+		p := core.Baseline().WithPitch((3 + 6*r.Float64()) * units.Micrometer)
+		p.DieWidth = (6 + 6*r.Float64()) * units.Millimeter
+		p.DieHeight = p.DieWidth
+		p.DefectDensity = (0.05 + 0.25*r.Float64()) * units.PerSquareCentimeter
+		p.RandomMisalignmentSigma = (3 + 5*r.Float64()) * units.Nanometer
+		if i%32 == 31 {
+			p.PadLayout = checkerLayout(p.DieWidth, p.DieHeight, (1.5+0.5*float64(r.IntN(2)))*p.Pitch)
+		}
+		if err := p.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		points[i] = p
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range points {
+			for _, mode := range []string{"w2w", "d2w"} {
+				if _, err := p.Evaluate(mode); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(b.N*len(points))/b.Elapsed().Seconds(), "points/s")
 }
 
 // BenchmarkSimWaferW2W times one simulated bonded wafer (denominator of the

@@ -62,8 +62,13 @@ func (p Params) CanonicalHash() uint64 {
 	return h.Sum64()
 }
 
-// HashString returns CanonicalHash formatted as a fixed-width hex string,
-// the form the service layer reports in API responses.
+// HashString returns CanonicalHash formatted by FormatHash, the form the
+// service layer reports in API responses.
 func (p Params) HashString() string {
-	return fmt.Sprintf("%016x", p.CanonicalHash())
+	return FormatHash(p.CanonicalHash())
+}
+
+// FormatHash formats a CanonicalHash as a fixed-width hex string.
+func FormatHash(h uint64) string {
+	return fmt.Sprintf("%016x", h)
 }

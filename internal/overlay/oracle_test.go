@@ -237,3 +237,84 @@ func TestD2WKernelMatchesReferenceUnsaturated(t *testing.T) {
 		t.Errorf("only %d of %d unsaturated points have a yield inside (0, 1)", informative, n)
 	}
 }
+
+// refSumDiePOS is SumDiePOS before its saturation exit: the product of
+// PadPOS(MaxOverRect) over the regions of every die. It is kept only as
+// the oracle the kernel must match bit for bit.
+func refSumDiePOS(m overlay.Model, dies []wafer.Die, regions []overlay.PadRegion, pos []float64) float64 {
+	var sum float64
+	for i, die := range dies {
+		c := die.Center()
+		diePOS := 1.0
+		for _, r := range regions {
+			diePOS *= overlay.PadPOS(m.Dist.MaxOverRect(r.Rect.Translate(c)), r.Delta, m.Sigma1)
+		}
+		if pos != nil {
+			pos[i] = diePOS
+		}
+		sum += diePOS
+	}
+	return sum
+}
+
+// checkW2WOracle compares SumDiePOS against the reference bit for bit,
+// the per-die POS included, on p's wafer with the die split into the given
+// number of regions. With unsaturated set it also checks that no region
+// of any die has PadPOS exactly 1, so no exit can fire.
+func checkW2WOracle(t *testing.T, name string, p core.Params, regions int, unsaturated bool) {
+	t.Helper()
+	m := p.OverlayModel()
+	dies := p.Layout().Dies()
+	regs := checkerRegions(p, regions)
+	pos, want := make([]float64, len(dies)), make([]float64, len(dies))
+	got, ref := m.SumDiePOS(dies, regs, pos), refSumDiePOS(m, dies, regs, want)
+	if math.Float64bits(got) != math.Float64bits(ref) {
+		t.Errorf("%s (%d regions): SumDiePOS %v (bits %016x), reference %v (bits %016x)",
+			name, regions, got, math.Float64bits(got), ref, math.Float64bits(ref))
+	}
+	for i := range pos {
+		if math.Float64bits(pos[i]) != math.Float64bits(want[i]) {
+			t.Errorf("%s (%d regions): die %d POS %v, reference %v", name, regions, i, pos[i], want[i])
+			break
+		}
+	}
+	if unsaturated {
+		for _, die := range dies {
+			for _, r := range regs {
+				if overlay.PadPOS(m.Dist.MaxOverRect(r.Rect.Translate(die.Center())), r.Delta, m.Sigma1) == 1 {
+					t.Fatalf("%s (%d regions): a saturated region on an unsaturated process", name, regions)
+				}
+			}
+		}
+	}
+}
+
+// TestW2WKernelMatchesReference pins SumDiePOS's saturation exit to the
+// plain PadPOS product: Table I, 60 seeded sweep-cold design points (one
+// in eight split into 8 regions, one in eight into 2), and processes whose
+// random error (no region saturates) or warpage (edge dies leave
+// saturation) is wide.
+func TestW2WKernelMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 8} {
+		checkW2WOracle(t, "tableI", core.Baseline(), n, false)
+	}
+	r := rand.New(rand.NewPCG(31, 3))
+	for i := 0; i < 60; i++ {
+		regions := 1
+		switch i % 8 {
+		case 3:
+			regions = 2
+		case 7:
+			regions = 8
+		}
+		checkW2WOracle(t, fmt.Sprintf("sweep %d", i), sweepPoint(r), regions, false)
+	}
+	for _, n := range []int{1, 8} {
+		wide := core.Baseline()
+		wide.RandomMisalignmentSigma = 400 * units.Nanometer
+		checkW2WOracle(t, "wide sigma1", wide, n, true)
+		warped := core.Baseline()
+		warped.Warpage = 120 * units.Micrometer
+		checkW2WOracle(t, "warped", warped, n, false)
+	}
+}

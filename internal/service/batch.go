@@ -90,7 +90,7 @@ func (s *Server) evaluatePoint(ctx context.Context, i int, raw json.RawMessage, 
 		pt.Error = err.Error()
 		return pt
 	}
-	pt.ParamsHash = p.HashString()
+	pt.ParamsHash = core.FormatHash(hash)
 	pt.Cached = true
 	if wantW2W {
 		b, out, err := s.cache.Evaluate(ctx, "w2w", hash, p)

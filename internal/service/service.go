@@ -436,7 +436,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
 	}
-	resp := EvaluateResponse{ParamsHash: p.HashString(), Cached: true}
+	resp := EvaluateResponse{ParamsHash: core.FormatHash(hash), Cached: true}
 	if wantW2W {
 		b, cached, err := s.evaluateCached(r.Context(), "w2w", hash, p)
 		if err != nil {
@@ -472,7 +472,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown mode %q (want w2w or d2w)", req.Mode))
 		return
 	}
-	p, _, err := s.resolveParams(req.Params)
+	p, hash, err := s.resolveParams(req.Params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
@@ -520,7 +520,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.metrics.earlyStops.Add(1)
 		s.metrics.samplesSaved.Add(uint64(res.Requested - res.Completed))
 	}
-	resp := simulateResponseFrom(res, p.HashString(), req.Seed, workers)
+	resp := simulateResponseFrom(res, core.FormatHash(hash), req.Seed, workers)
 	if distributed {
 		resp.Distributed = true
 		resp.Shards = info.Shards
@@ -546,7 +546,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown mode %q (want w2w or d2w)", req.Mode))
 		return
 	}
-	p, _, err := s.resolveParams(req.Params)
+	p, hash, err := s.resolveParams(req.Params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
@@ -576,7 +576,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, ShardResponse{
-		ParamsHash: p.HashString(),
+		ParamsHash: core.FormatHash(hash),
 		Mode:       res.Mode,
 		Start:      req.Start,
 		Count:      req.Count,

@@ -65,7 +65,12 @@ func (l Layout) Dies() []Die {
 	r := l.UsableRadius()
 	nx := int(math.Ceil(r/l.DieWidth)) + 1
 	ny := int(math.Ceil(r/l.DieHeight)) + 1
+	// Full dies inside the disc cover at most its area, so none fit when
+	// a die is larger than the disc.
 	var dies []Die
+	if n := math.Floor(math.Pi * r * r / (l.DieWidth * l.DieHeight)); n >= 1 && n < math.MaxInt32 {
+		dies = make([]Die, 0, int(n)+1)
+	}
 	for j := -ny; j < ny; j++ {
 		for i := -nx; i < nx; i++ {
 			rect := geom.Rect{
